@@ -6,6 +6,7 @@ value function (and its greedy policy) can be from optimal.
 """
 
 from .bounds import (
+    BoundsContext,
     BoundsReport,
     HorizonCertificate,
     MonteCarloSteps,
@@ -14,7 +15,6 @@ from .bounds import (
     immediate_termination_states,
     monte_carlo_steps,
     per_state_suboptimality,
-    require_uniformly_improvable,
     resolve_method,
     sandwich_bounds,
     steps_bound_all_proper,
@@ -48,6 +48,8 @@ from .dp import (
     is_uniformly_improvable,
     policy_backup,
     policy_iteration,
+    require_uniformly_improvable,
+    residual_stats,
     stochastic_policy_backup,
     value_iteration,
 )

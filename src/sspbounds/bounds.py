@@ -13,6 +13,9 @@ Three procedures produce N(i):
   by which any policy no costlier than J must terminate with positive
   probability, turned into the (very loose) bound m / rho_m.
 
+``BoundsContext`` resolves the procedure for an instance and computes the
+ingredients of N that do not depend on J once; it then gives the steps
+bound, the per-row trace columns and the full report of any iterate.
 ``monte_carlo_steps`` is the sampling oracle used to sanity-check all of
 them.
 """
@@ -21,26 +24,31 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Policy, SspProblem, check_values, policy_transition_matrix
-from .dp import bellman_backup, bellman_residual, policy_iteration
+from .dp import (  # bellman_backup stays bound here for code that patches it
+    IterationTrace,
+    bellman_backup,  # noqa: F401
+    bellman_residual,
+    policy_iteration,
+    require_uniformly_improvable,
+    residual_stats,
+)
 from .errors import (
     HorizonCapExceeded,
     InfiniteStepsBound,
     NonpositiveCost,
     NoTerminalTransition,
     NotAllPoliciesProper,
-    NotUniformlyImprovable,
 )
 from .properness import all_policies_proper, uniform_random_policy
 
 logger = logging.getLogger(__name__)
-
-IMPROVABLE_TOL = 1e-9
 
 # Safety cap for the horizon search. Hitting it means some policy can delay
 # termination forever at nonpositive cost, i.e. the instance admits an
@@ -48,6 +56,15 @@ IMPROVABLE_TOL = 1e-9
 DEFAULT_HORIZON_CAP = 10**6
 
 METHODS = ("positive-cost", "all-proper", "general-loose", "override")
+
+# Below this log rho_m the product p_n^(m-1) p_t is no normal float, and the
+# horizon bound m / rho_m is reported as infinite (vacuous).
+_LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
+
+
+def json_number(x: float | None) -> float | str | None:
+    """A float for JSON output; infinities become the string "inf"."""
+    return "inf" if x is not None and math.isinf(x) else x
 
 
 class MonteCarloSteps(NamedTuple):
@@ -118,27 +135,31 @@ class BoundsReport:
     method: str
 
     def to_json_dict(self) -> dict:
-        def enc(x: float):
-            return "inf" if math.isinf(x) else x
-
         return {
             "residual": self.residual,
             "min_change": self.min_change,
             "max_change": self.max_change,
-            "steps_bound": [enc(v) for v in self.steps_bound.tolist()],
-            "per_state_bound": [enc(v) for v in self.per_state_bound.tolist()],
-            "global_bound": enc(self.global_bound),
+            "steps_bound": [json_number(v) for v in self.steps_bound.tolist()],
+            "per_state_bound": [json_number(v) for v in self.per_state_bound.tolist()],
+            "global_bound": json_number(self.global_bound),
             "overrides": list(self.overrides),
             "method": self.method,
         }
 
 
-def require_uniformly_improvable(problem: SspProblem, values: np.ndarray) -> None:
-    """Raise :class:`NotUniformlyImprovable` unless one backup keeps TJ <= J."""
-    backed_up = bellman_backup(problem, values)
-    bad = np.nonzero(backed_up > values + IMPROVABLE_TOL)[0]
-    if bad.size:
-        raise NotUniformlyImprovable(int(i) for i in bad)
+class TraceRow(NamedTuple):
+    """Bound columns of one solver trace row.
+
+    ``j_under`` is the floor of J over the counted states (nonterminal, not
+    overridden), ``m`` the max of the steps bound over them and ``error``
+    m times the row's residual. ``m`` and ``error`` are None when the row's
+    J is not uniformly improvable (or its horizon search hits the cap), and
+    ``error`` also on row 0, which has no residual.
+    """
+
+    j_under: float
+    m: float | None
+    error: float | None
 
 
 def immediate_termination_states(problem: SspProblem) -> np.ndarray:
@@ -149,6 +170,13 @@ def immediate_termination_states(problem: SspProblem) -> np.ndarray:
     """
     mass_to_nonterminal = problem.prob.sum(axis=2) - problem.prob[:, :, problem.terminal]
     mask = (mass_to_nonterminal == 0.0).all(axis=1)
+    mask[problem.terminal] = False
+    return mask
+
+
+def _counted_states(problem: SspProblem, overridden: np.ndarray) -> np.ndarray:
+    """Nonterminal states that are not overridden: the states behind max N."""
+    mask = ~overridden
     mask[problem.terminal] = False
     return mask
 
@@ -171,6 +199,14 @@ def _steps_product(change: float, steps: np.ndarray) -> np.ndarray:
     if infinite.any():
         raise InfiniteStepsBound(int(i) for i in np.nonzero(infinite)[0])
     return change * steps
+
+
+def _certified(residual: float, steps) -> np.ndarray:
+    """residual * steps, where a zero residual certifies J exactly even at N = inf."""
+    steps = np.asarray(steps, dtype=float)
+    if residual == 0.0:
+        steps = np.where(np.isinf(steps), 0.0, steps)
+    return residual * steps
 
 
 def sandwich_bounds(
@@ -216,9 +252,9 @@ def per_state_suboptimality(
     Infinite N entries yield infinite (vacuous) bounds.
     """
     values = check_values(problem, values)
-    require_uniformly_improvable(problem, values)
+    backed_up = require_uniformly_improvable(problem, values)
     steps_bound = np.asarray(steps_bound, dtype=float)
-    return bellman_residual(problem, values).residual * steps_bound
+    return residual_stats(backed_up, values).residual * steps_bound
 
 
 def global_suboptimality(
@@ -231,13 +267,11 @@ def global_suboptimality(
     overridden the factor is 1.
     """
     values = check_values(problem, values)
-    require_uniformly_improvable(problem, values)
+    backed_up = require_uniformly_improvable(problem, values)
     steps_bound = np.asarray(steps_bound, dtype=float)
-    mask = np.ones(problem.num_states, dtype=bool)
-    mask[problem.terminal] = False
-    mask &= ~immediate_termination_states(problem)
+    mask = _counted_states(problem, immediate_termination_states(problem))
     factor = float(steps_bound[mask].max()) if mask.any() else 1.0
-    return bellman_residual(problem, values).residual * factor
+    return residual_stats(backed_up, values).residual * factor
 
 
 def steps_bound_positive_costs(
@@ -261,8 +295,15 @@ def steps_bound_positive_costs(
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
-    t = problem.terminal
+    a, b = _positive_cost_ingredients(problem, refine_step_cost)
+    return _positive_cost_steps(problem, values, a, b)
 
+
+def _positive_cost_ingredients(
+    problem: SspProblem, refine_step_cost: bool = False
+) -> tuple[float, float]:
+    """The cheapest terminal transition a and cheapest step b of the closed form."""
+    t = problem.terminal
     positive = problem.prob > 0.0
     nonterminal_moves = positive.copy()
     nonterminal_moves[t, :, :] = False
@@ -285,7 +326,13 @@ def steps_bound_positive_costs(
     else:
         step_costs = problem.cost[nonterminal_moves]
         min_step_cost = float(step_costs.min()) if step_costs.size else math.inf
+    return min_terminal_cost, min_step_cost
 
+
+def _positive_cost_steps(
+    problem: SspProblem, values: np.ndarray, min_terminal_cost: float, min_step_cost: float
+) -> np.ndarray:
+    """(J(i) - a) / b + 1, clamped to at least 1 at every nonterminal state."""
     steps = np.zeros(problem.num_states)
     nt = problem.nonterminal
     steps[nt] = (values[nt] - min_terminal_cost) / min_step_cost + 1.0
@@ -351,8 +398,9 @@ def termination_horizon(
     cheapest terminal-transition cost before comparing (the default),
     ``"pseudocode"`` compares the bare stage values and yields a larger m.
 
-    Raises :class:`HorizonCapExceeded` after ``max_stages`` stages, which
-    indicates a zero-cost way to delay termination forever.
+    Raises :class:`HorizonCapExceeded` after ``max_stages`` stages, or as
+    soon as a stage changes nothing, which indicates a zero-cost way to
+    delay termination forever.
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
@@ -401,6 +449,10 @@ def termination_horizon(
         backed = np.where(usable, backed, np.inf)
         new_values = stage_values.copy()
         new_values[staying] = backed[staying].min(axis=1)
+        if not joining.any() and np.array_equal(new_values, stage_values):
+            # Every later stage would repeat this one, so the stop test that
+            # just failed would fail forever.
+            raise HorizonCapExceeded(k)
         inevitable = inevitable | joining
         stage_values = new_values
         inevitable_by_stage.append(frozenset(int(i) for i in np.nonzero(inevitable)[0]))
@@ -423,8 +475,18 @@ def steps_bound_from_horizon(
     within m stages, where p_t is the smallest nonzero probability of a
     transition into the terminal and p_n the smallest nonzero probability
     of any other transition. The resulting bound is sound but usually far
-    looser than the cost-based bounds.
+    looser than the cost-based bounds. When rho_m is too small to be a
+    normal float the bound is infinite, i.e. vacuous.
     """
+    steps = np.zeros(problem.num_states)
+    steps[problem.nonterminal] = _horizon_steps(
+        certificate.m, *_horizon_probabilities(problem)
+    )
+    return steps
+
+
+def _horizon_probabilities(problem: SspProblem) -> tuple[float, float]:
+    """Smallest nonzero probabilities p_t into the terminal and p_n elsewhere."""
     t = problem.terminal
     into_terminal = problem.prob[:, :, t].copy()
     into_terminal[t, :] = 0.0
@@ -438,11 +500,15 @@ def steps_bound_from_horizon(
     others[:, :, t] = 0.0
     other_entries = others[others > 0.0]
     p_nonterminal = float(other_entries.min()) if other_entries.size else 1.0
+    return p_terminal, p_nonterminal
 
-    rho = p_nonterminal ** (certificate.m - 1) * p_terminal
-    steps = np.zeros(problem.num_states)
-    steps[problem.nonterminal] = certificate.m / rho
-    return steps
+
+def _horizon_steps(m: int, p_terminal: float, p_nonterminal: float) -> float:
+    """m / rho_m with rho_m = p_n^(m-1) p_t, or inf when rho_m underflows."""
+    log_rho = (m - 1) * math.log(p_nonterminal) + math.log(p_terminal)
+    if log_rho < _LOG_SMALLEST_NORMAL:
+        return math.inf
+    return m / (p_nonterminal ** (m - 1) * p_terminal)
 
 
 def monte_carlo_steps(
@@ -526,6 +592,142 @@ def resolve_method(problem: SspProblem, method: str = "auto") -> str:
     return "general"
 
 
+@dataclass(frozen=True)
+class BoundsContext:
+    """The steps-bound procedure of one instance and its J-independent ingredients.
+
+    Build it once per run with :meth:`for_problem`. ``method`` is the
+    resolved procedure, ``overridden`` the states that terminate in one
+    step (N = 1 there) and ``counted`` the nonterminal states that are not
+    overridden. The procedure's own fields are set only for it:
+    ``min_terminal_cost`` (a) and ``min_step_cost`` (b) for positive-cost,
+    the companion solve's ``all_proper_steps`` for all-proper, and the
+    probabilities ``p_terminal`` and ``p_nonterminal`` of rho_m for general.
+    Per iterate, positive-cost and all-proper then cost O(S); general still
+    runs the horizon search for each J.
+    """
+
+    problem: SspProblem
+    method: str
+    overridden: np.ndarray
+    counted: np.ndarray
+    horizon_cap: int | None = None
+    min_terminal_cost: float | None = None
+    min_step_cost: float | None = None
+    all_proper_steps: np.ndarray | None = None
+    p_terminal: float | None = None
+    p_nonterminal: float | None = None
+
+    @classmethod
+    def for_problem(
+        cls, problem: SspProblem, method: str = "auto", horizon_cap: int | None = None
+    ) -> BoundsContext:
+        """Resolve the method and compute its ingredients; raises when they do not exist."""
+        resolved = resolve_method(problem, method)
+        if resolved == "positive-cost":
+            a, b = _positive_cost_ingredients(problem)
+            ingredients = {"min_terminal_cost": a, "min_step_cost": b}
+        elif resolved == "all-proper":
+            ingredients = {"all_proper_steps": steps_bound_all_proper(problem)}
+        else:
+            p_t, p_n = _horizon_probabilities(problem)
+            ingredients = {"p_terminal": p_t, "p_nonterminal": p_n}
+        overridden = immediate_termination_states(problem)
+        return cls(
+            problem=problem,
+            method=resolved,
+            overridden=overridden,
+            counted=_counted_states(problem, overridden),
+            horizon_cap=horizon_cap,
+            **ingredients,
+        )
+
+    def steps(self, values: np.ndarray) -> np.ndarray:
+        """Per-state steps bound of a uniformly improvable J, overrides applied.
+
+        The caller vouches for improvability. Raises
+        :class:`HorizonCapExceeded` when the general method's search does.
+        """
+        if self.method == "positive-cost":
+            steps = _positive_cost_steps(
+                self.problem, values, self.min_terminal_cost, self.min_step_cost
+            )
+        elif self.method == "all-proper":
+            steps = self.all_proper_steps.copy()
+        else:
+            certificate = termination_horizon(
+                self.problem, values, max_stages=self.horizon_cap
+            )
+            steps = np.zeros(self.problem.num_states)
+            steps[self.problem.nonterminal] = _horizon_steps(
+                certificate.m, self.p_terminal, self.p_nonterminal
+            )
+        steps[self.overridden] = 1.0
+        return steps
+
+    def row(
+        self,
+        values: np.ndarray,
+        residual: float | None,
+        improvable: bool,
+        sign: float = 1.0,
+    ) -> TraceRow:
+        """Trace columns of one iterate, given its uniform-improvability verdict.
+
+        ``sign`` is -1 to report the floor of a reward-form file.
+        """
+        counted = self.counted
+        j_under = float((sign * values[counted]).min()) if counted.any() else 0.0
+        if not improvable:
+            return TraceRow(j_under, None, None)
+        try:
+            steps = self.steps(values)
+        except HorizonCapExceeded:
+            return TraceRow(j_under, None, None)
+        m = float(steps[counted].max()) if counted.any() else 1.0
+        error = None if residual is None else float(_certified(residual, m))
+        return TraceRow(j_under, m, error)
+
+    def report(self, values: np.ndarray) -> BoundsReport:
+        """Full bounds report of a uniformly improvable J, from one backup."""
+        values = check_values(self.problem, values)
+        stats = residual_stats(require_uniformly_improvable(self.problem, values), values)
+        steps = self.steps(values)
+        if not self.counted.any():
+            label, factor = "override", 1.0
+        else:
+            label = "general-loose" if self.method == "general" else self.method
+            factor = float(steps[self.counted].max())
+        return BoundsReport(
+            residual=stats.residual,
+            min_change=stats.min_change,
+            max_change=stats.max_change,
+            steps_bound=steps,
+            per_state_bound=_certified(stats.residual, steps),
+            global_bound=float(_certified(stats.residual, factor)),
+            overrides=tuple(int(i) for i in np.nonzero(self.overridden)[0]),
+            method=label,
+        )
+
+    def certify(
+        self, trace: IterationTrace, sign: float = 1.0
+    ) -> tuple[BoundsReport, list[TraceRow]]:
+        """Report of a solver run's last iterate, plus the bound columns of every row.
+
+        Row k's improvability verdict comes from the solver's backup stored
+        in record k + 1; the last row's from the report, which accepts only
+        an improvable J.
+        """
+        records = trace.records
+        report = self.report(records[-1].values)
+        verdicts = [record.improvable for record in records[1:]] + [True]
+        rows = [
+            self.row(record.values, record.residual, improvable, sign)
+            for record, improvable in zip(records, verdicts)
+        ]
+        return report, rows
+
+
 def compute_bounds_report(
     problem: SspProblem,
     values: np.ndarray,
@@ -533,38 +735,4 @@ def compute_bounds_report(
     horizon_cap: int | None = None,
 ) -> BoundsReport:
     """Assemble the full bounds report for a uniformly improvable value function."""
-    values = check_values(problem, values)
-    require_uniformly_improvable(problem, values)
-    resolved = resolve_method(problem, method)
-    if resolved == "positive-cost":
-        steps = steps_bound_positive_costs(problem, values)
-        label = "positive-cost"
-    elif resolved == "all-proper":
-        steps = steps_bound_all_proper(problem)
-        label = "all-proper"
-    else:
-        certificate = termination_horizon(problem, values, max_stages=horizon_cap)
-        steps = steps_bound_from_horizon(problem, certificate)
-        label = "general-loose"
-
-    overridden = immediate_termination_states(problem)
-    steps = steps.astype(float).copy()
-    steps[overridden] = 1.0
-    stats = bellman_residual(problem, values)
-    per_state = stats.residual * steps
-    mask = np.ones(problem.num_states, dtype=bool)
-    mask[problem.terminal] = False
-    mask &= ~overridden
-    factor = float(steps[mask].max()) if mask.any() else 1.0
-    if not mask.any():
-        label = "override"
-    return BoundsReport(
-        residual=stats.residual,
-        min_change=stats.min_change,
-        max_change=stats.max_change,
-        steps_bound=steps,
-        per_state_bound=per_state,
-        global_bound=stats.residual * factor,
-        overrides=tuple(int(i) for i in np.nonzero(overridden)[0]),
-        method=label,
-    )
+    return BoundsContext.for_problem(problem, method, horizon_cap).report(values)

@@ -27,11 +27,11 @@ from .core import (
     save_problem,
 )
 from .dp import (
-    IterationTrace,
     evaluate_policy,
     greedy_policy,
     is_uniformly_improvable,
     policy_iteration,
+    require_uniformly_improvable,
     value_iteration,
 )
 from .errors import (
@@ -116,52 +116,12 @@ def _initial_values(config: RunConfig, problem: SspProblem, convention: str) -> 
     return _load_values_file(config.init, problem, convention)
 
 
-def _trace_table(
-    problem: SspProblem,
-    trace: IterationTrace,
-    sign: float,
-    method: str,
-) -> tuple[list, list, list]:
-    """Per-iteration J floor, steps bound, and error columns for the trace CSV.
-
-    The floor is reported in the file's convention; steps bounds are left
-    blank on iterates where the resolved method's precondition fails.
-    """
-    mask = np.ones(problem.num_states, dtype=bool)
-    mask[problem.terminal] = False
-    mask &= ~bounds_mod.immediate_termination_states(problem)
-    j_under, m_col, error_col = [], [], []
-    for record in trace.records:
-        floor = float((sign * record.values[mask]).min()) if mask.any() else 0.0
-        j_under.append(floor)
-        try:
-            steps = _steps_for(problem, record.values, method)
-            m = float(steps[mask].max()) if mask.any() else 1.0
-        except (SolverPreconditionError, HorizonCapExceeded):
-            m = None
-        m_col.append(m)
-        if m is None or record.residual is None:
-            error_col.append(None)
-        else:
-            error_col.append(m * record.residual)
-    return j_under, m_col, error_col
-
-
-def _steps_for(problem: SspProblem, values: np.ndarray, method: str) -> np.ndarray:
-    if method == "positive-cost":
-        return bounds_mod.steps_bound_positive_costs(problem, values)
-    if method == "all-proper":
-        return bounds_mod.steps_bound_all_proper(problem)
-    certificate = bounds_mod.termination_horizon(problem, values)
-    return bounds_mod.steps_bound_from_horizon(problem, certificate)
-
-
 def cmd_solve(config: RunConfig) -> int:
     problem, convention = load_problem(config.input)
     sign = -1.0 if convention == "reward" else 1.0
     initial = _initial_values(config, problem, convention)
     # every bound this command reports relies on a uniformly improvable start
-    bounds_mod.require_uniformly_improvable(problem, initial)
+    require_uniformly_improvable(problem, initial)
 
     # A truncated run is not an error: the final iterate still carries
     # valid bounds, so report what we have and note the truncation.
@@ -181,21 +141,21 @@ def cmd_solve(config: RunConfig) -> int:
         values, trace = exc.values, exc.trace
         truncated = True
 
-    method = bounds_mod.resolve_method(problem, config.bounds_method)
-    report = bounds_mod.compute_bounds_report(problem, values, method)
+    # the report covers the trace's last iterate, which is `values`
+    context = bounds_mod.BoundsContext.for_problem(problem, config.bounds_method)
+    report, rows = context.certify(trace, sign)
 
     if config.output_format == "csv":
-        j_under, m_col, error_col = _trace_table(problem, trace, sign, method)
+        j_under, m_col, error_col = zip(*rows)
         _emit(trace.to_csv(j_under=j_under, m=m_col, error=error_col), config.output)
     else:
-        j_under, m_col, error_col = _trace_table(problem, trace, sign, method)
         payload = {
             "config": {
                 "algorithm": config.algorithm,
                 "init": config.init,
                 "epsilon": config.epsilon,
                 "max_iters": config.max_iters,
-                "bounds_method": method,
+                "bounds_method": context.method,
                 "seed": config.seed,
                 "convention": convention,
                 "truncated": truncated,
@@ -203,12 +163,12 @@ def cmd_solve(config: RunConfig) -> int:
             "trace": [
                 {
                     "iter": rec.iteration,
-                    "J_under": j_under[k],
-                    "m": m_col[k],
+                    "J_under": row.j_under,
+                    "m": bounds_mod.json_number(row.m),
                     "residual": rec.residual,
-                    "error": error_col[k],
+                    "error": bounds_mod.json_number(row.error),
                 }
-                for k, rec in enumerate(trace.records)
+                for rec, row in zip(trace.records, rows)
             ],
             "values": [sign * v for v in values.tolist()],
             "bounds": report.to_json_dict(),

@@ -25,7 +25,12 @@ from .core import (
     check_policy,
     check_values,
 )
-from .errors import ImproperPolicy, MaxItersExceeded, SingularSystem
+from .errors import (
+    ImproperPolicy,
+    MaxItersExceeded,
+    NotUniformlyImprovable,
+    SingularSystem,
+)
 from .properness import is_proper
 
 # A value function solved from the linear system carries roughly 1e-10
@@ -54,9 +59,10 @@ class ResidualStats(NamedTuple):
 class IterationRecord:
     """One solver iteration: the value function and how it was reached.
 
-    ``residual`` and the change extremes describe the Bellman residual of
-    the *previous* iterate, i.e. the backup that produced this row; they are
-    None on row 0.
+    ``residual``, the change extremes and ``improvable`` describe the
+    *previous* iterate, as seen by the backup that produced this row; they
+    are None on row 0. ``improvable`` is that backup's uniform-improvability
+    verdict, the same test :func:`is_uniformly_improvable` makes.
     """
 
     iteration: int
@@ -65,6 +71,7 @@ class IterationRecord:
     min_change: float | None
     max_change: float | None
     elapsed: float
+    improvable: bool | None = None
 
 
 @dataclass
@@ -151,19 +158,40 @@ def greedy_policy(problem: SspProblem, values: np.ndarray) -> DeterministicPolic
     return DeterministicPolicy(actions=np.argmin(q, axis=1))
 
 
-def bellman_residual(problem: SspProblem, values: np.ndarray) -> ResidualStats:
-    """Max-norm Bellman residual of ``values`` plus the signed change extremes."""
-    diff = bellman_backup(problem, values) - values
+def residual_stats(backed_up: np.ndarray, values: np.ndarray) -> ResidualStats:
+    """Residual and change extremes of ``values`` given its backup ``backed_up``."""
+    diff = backed_up - values
     min_change = float(diff.min())
     max_change = float(diff.max())
     return ResidualStats(max(-min_change, max_change), min_change, max_change)
 
 
-def is_uniformly_improvable(
-    problem: SspProblem, values: np.ndarray, tol: float = IMPROVABLE_TOL
-) -> bool:
+def bellman_residual(problem: SspProblem, values: np.ndarray) -> ResidualStats:
+    """Max-norm Bellman residual of ``values`` plus the signed change extremes."""
+    return residual_stats(bellman_backup(problem, values), values)
+
+
+def _improvable_states(backed_up: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Where one backup does not raise the value: TJ(i) <= J(i) + 1e-9."""
+    return backed_up <= values + IMPROVABLE_TOL
+
+
+def is_uniformly_improvable(problem: SspProblem, values: np.ndarray) -> bool:
     """True when one backup does not increase the value at any state."""
-    return bool((bellman_backup(problem, values) <= values + tol).all())
+    return bool(_improvable_states(bellman_backup(problem, values), values).all())
+
+
+def require_uniformly_improvable(problem: SspProblem, values: np.ndarray) -> np.ndarray:
+    """Return the backup TJ of a uniformly improvable J.
+
+    Raises :class:`NotUniformlyImprovable`, naming the offending states,
+    when :func:`is_uniformly_improvable` would be false.
+    """
+    backed_up = bellman_backup(problem, values)
+    improvable = _improvable_states(backed_up, values)
+    if not improvable.all():
+        raise NotUniformlyImprovable(int(i) for i in np.nonzero(~improvable)[0])
+    return backed_up
 
 
 def value_iteration(
@@ -193,17 +221,14 @@ def value_iteration(
     ]
     for k in range(1, max_iters + 1):
         candidate = bellman_backup(problem, values)
-        diff = candidate - values
-        min_change = float(diff.min())
-        max_change = float(diff.max())
-        residual = max(-min_change, max_change)
-        if residual < epsilon:
+        stats = residual_stats(candidate, values)
+        if stats.residual < epsilon:
             return values, IterationTrace(records)
+        improvable = bool(_improvable_states(candidate, values).all())
         values = candidate
         records.append(
             IterationRecord(
-                k, values.copy(), residual, min_change, max_change,
-                time.perf_counter() - start,
+                k, values.copy(), *stats, time.perf_counter() - start, improvable
             )
         )
     trace = IterationTrace(records)
@@ -284,21 +309,17 @@ def policy_iteration(
     for k in range(1, max_iters + 1):
         q = action_values(problem, values)
         improved = DeterministicPolicy(actions=np.argmin(q, axis=1))
-        diff = q.min(axis=1) - values
-        min_change = float(diff.min())
-        max_change = float(diff.max())
-        residual = max(-min_change, max_change)
+        backed_up = q.min(axis=1)
+        stats = residual_stats(backed_up, values)
+        improvable = bool(_improvable_states(backed_up, values).all())
         elapsed = time.perf_counter() - start
         if previous is not None and np.array_equal(improved.actions, previous.actions):
-            records.append(
-                IterationRecord(k, values, residual, min_change, max_change, elapsed)
-            )
+            records.append(IterationRecord(k, values, *stats, elapsed, improvable))
             return previous, values, IterationTrace(records)
         new_values = evaluate_policy(problem, improved)
         records.append(
             IterationRecord(
-                k, new_values, residual, min_change, max_change,
-                time.perf_counter() - start,
+                k, new_values, *stats, time.perf_counter() - start, improvable
             )
         )
         if np.abs(new_values - values).max() < POLICY_VALUE_TOL:

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import immediate_termination_states, steps_bound_positive_costs
+from .bounds import BoundsContext, steps_bound_positive_costs
 from .core import SspProblem
-from .dp import IterationRecord, evaluate_policy, policy_iteration, value_iteration
+from .dp import evaluate_policy, policy_iteration, value_iteration
 from .properness import uniform_random_policy
 
 # Comparison tolerances for the reproduction checks.
@@ -215,22 +215,6 @@ EXPECTED_TABLE2: tuple[Table2Row, ...] = tuple(
 )
 
 
-def _floor_and_steps(problem: SspProblem, values: np.ndarray) -> tuple[float, float]:
-    """Reward-form floor value and max steps bound over non-overridden states."""
-    mask = np.ones(problem.num_states, dtype=bool)
-    mask[problem.terminal] = False
-    mask &= ~immediate_termination_states(problem)
-    j_under = float(-values[mask].max())
-    steps = steps_bound_positive_costs(problem, values)
-    return j_under, float(steps[mask].max())
-
-
-def _table1_row(problem: SspProblem, record: IterationRecord) -> Table1Row:
-    j_under, m = _floor_and_steps(problem, record.values)
-    error = None if record.residual is None else m * record.residual
-    return Table1Row(record.iteration, j_under, m, record.residual, error)
-
-
 def run_table1(problem: SspProblem, algorithm: str) -> list[Table1Row]:
     """Reproduce Table 1: per-iteration error-bound statistics in reward form.
 
@@ -249,7 +233,11 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[Table1Row]:
         records = trace.records
     else:
         raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
-    return [_table1_row(problem, record) for record in records]
+    _, rows = BoundsContext.for_problem(problem, "positive-cost").certify(trace, sign=-1.0)
+    return [
+        Table1Row(record.iteration, row.j_under, row.m, record.residual, row.error)
+        for record, row in zip(records, rows)
+    ]
 
 
 def run_table2(problem: SspProblem) -> list[Table2Row]:

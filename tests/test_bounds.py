@@ -338,6 +338,12 @@ class TestTerminationHorizon:
         with pytest.raises(HorizonCapExceeded):
             termination_horizon(problem, np.zeros(2), max_stages=50)
 
+    def test_free_delay_stops_at_the_fixed_point(self):
+        problem = free_delay_instance()
+        with pytest.raises(HorizonCapExceeded) as info:
+            termination_horizon(problem, np.zeros(2))
+        assert info.value.stage == 1
+
     def test_requires_uniform_improvability(self, stay_go):
         with pytest.raises(NotUniformlyImprovable):
             termination_horizon(stay_go, np.zeros(2))
@@ -385,6 +391,30 @@ class TestLooseBoundFromHorizon:
         tight = steps_bound_positive_costs(grid, grid_optimal_values)
         nt = grid.nonterminal
         assert (loose[nt] >= tight[nt]).all()
+
+    def test_underflow_gives_vacuous_bound_and_zero_residual_kills_it(self):
+        # Lazy chain: each step advances with probability 2^-10, so
+        # rho_m = 2^(-10 m) underflows; J(i) = 1024 (i + 1) is exact, so TJ = J.
+        length, advance = 110, 2.0**-10
+        n = length + 1
+        prob = np.zeros((n, 1, n))
+        for i in range(length):
+            prob[i, 0, i] = 1.0 - advance
+            prob[i, 0, i - 1 if i else length] = advance
+        prob[length, 0, length] = 1.0
+        cost = np.where(prob > 0.0, 1.0, 0.0)
+        cost[length] = 0.0
+        problem = SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
+        values = np.append(1024.0 * np.arange(1, length + 1), 0.0)
+        certificate = termination_horizon(problem, values)
+        assert certificate.m == length
+        steps = steps_bound_from_horizon(problem, certificate)
+        assert np.isinf(steps[:length]).all()
+        report = compute_bounds_report(problem, values, method="general")
+        assert report.residual == 0.0
+        assert (report.per_state_bound == 0.0).all()
+        assert report.global_bound == 0.0
+        assert report.to_json_dict()["steps_bound"][0] == "inf"
 
     def test_no_terminal_transition_rejected(self):
         prob = np.zeros((2, 1, 2))

@@ -1,10 +1,31 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from sspbounds import from_discounted, load_problem, save_problem
+from helpers import random_all_proper_ssp, random_proper_mixed_ssp
+from sspbounds import (
+    GridSpec,
+    SspProblem,
+    build_gridworld,
+    evaluate_policy,
+    from_discounted,
+    immediate_termination_states,
+    is_uniformly_improvable,
+    load_problem,
+    policy_iteration,
+    save_problem,
+    steps_bound_all_proper,
+    steps_bound_from_horizon,
+    steps_bound_positive_costs,
+    stay_or_go_instance,
+    termination_horizon,
+    uniform_random_policy,
+    value_iteration,
+)
 from sspbounds.cli import main
+from sspbounds.errors import HorizonCapExceeded
 import sspbounds.bounds
 import sspbounds.gridworld as gw
 
@@ -138,6 +159,162 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 2
         assert "epsilon" in json.loads(captured.err.strip())["message"]
+
+
+def free_delay_file(tmp_path):
+    prob = np.zeros((2, 2, 2))
+    prob[0, 0, 0] = 1.0  # free self-loop
+    prob[0, 1, 1] = 1.0  # free exit
+    prob[1, :, 1] = 1.0
+    problem = SspProblem(
+        num_states=2, num_actions=2, terminal=1, prob=prob, cost=np.zeros_like(prob)
+    )
+    path = tmp_path / "free_delay.json"
+    save_problem(problem, path, convention="cost")
+    return str(path)
+
+
+def old_trace_columns(problem, trace, method):
+    """The m and error columns by their definition, recomputed row by row.
+
+    Each row runs the method's steps-bound procedure on its own J and takes
+    the max over nonterminal, non-overridden states; the columns are blank
+    where the row's J is not uniformly improvable.
+    """
+    mask = ~immediate_termination_states(problem)
+    mask[problem.terminal] = False
+    m_col, error_col = [], []
+    for record in trace.records:
+        m = None
+        if is_uniformly_improvable(problem, record.values):
+            if method == "positive-cost":
+                steps = steps_bound_positive_costs(problem, record.values)
+            elif method == "all-proper":
+                steps = steps_bound_all_proper(problem)
+            else:
+                try:
+                    certificate = termination_horizon(problem, record.values)
+                    steps = steps_bound_from_horizon(problem, certificate)
+                except HorizonCapExceeded:
+                    steps = None
+            if steps is not None:
+                m = float(steps[mask].max()) if mask.any() else 1.0
+        m_col.append(m)
+        error_col.append(None if m is None or record.residual is None else m * record.residual)
+    return m_col, error_col
+
+
+def solve_json(path, argv, tmp_path):
+    out = tmp_path / "run.json"
+    assert main(["solve", "--input", str(path), "--format", "json", "--output", str(out)] + argv) == 0
+    return json.loads(out.read_text())
+
+
+class TestTraceBounds:
+    """Per-row m and error from the shared bounds context match their definition."""
+
+    def check(self, problem, trace, payload, method):
+        assert payload["config"]["bounds_method"] == method
+        m_col, error_col = old_trace_columns(problem, trace, method)
+        assert [row["m"] for row in payload["trace"]] == m_col
+        assert [row["error"] for row in payload["trace"]] == error_col
+
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_gridworld_positive_cost(self, grid, grid_reward_file, tmp_path, algorithm):
+        payload = solve_json(grid_reward_file, ["--algorithm", algorithm], tmp_path)
+        if algorithm == "vi":
+            start = evaluate_policy(grid, uniform_random_policy(grid))
+            _, trace = value_iteration(grid, start, epsilon=1e-6)
+        else:
+            _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
+        self.check(grid, trace, payload, "positive-cost")
+
+    def test_random_instances(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for k in range(6):
+            make = random_all_proper_ssp if k % 2 else random_proper_mixed_ssp
+            problem = make(rng)
+            path = tmp_path / f"random{k}.json"
+            save_problem(problem, path)
+            start = evaluate_policy(problem, uniform_random_policy(problem))
+            _, trace = value_iteration(problem, start, epsilon=1e-6)
+            payload = solve_json(path, ["--algorithm", "vi"], tmp_path)
+            self.check(problem, trace, payload, "all-proper" if k % 2 else "positive-cost")
+
+    def test_zero_start_general(self, tmp_path):
+        # stay-or-go with a reward for leaving, so the zero start is improvable
+        base = stay_or_go_instance()
+        cost = base.cost.copy()
+        cost[0, 0, 1] = -1.0
+        problem = SspProblem(
+            num_states=2, num_actions=2, terminal=1, prob=base.prob, cost=cost
+        )
+        path = tmp_path / "leave.json"
+        save_problem(problem, path)
+        payload = solve_json(
+            path, ["--algorithm", "vi", "--init", "zero", "--bounds", "general"], tmp_path
+        )
+        _, trace = value_iteration(problem, np.zeros(2), epsilon=1e-6)
+        self.check(problem, trace, payload, "general")
+        assert [row["m"] for row in payload["trace"]] == [3.0, 2.0]
+
+    def test_one_companion_solve_per_run(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(71)
+        transitions = rng.uniform(0.05, 1.0, size=(4, 2, 4))
+        transitions /= transitions.sum(axis=2, keepdims=True)
+        problem = from_discounted(transitions, rng.normal(size=transitions.shape), 0.9)
+        path = tmp_path / "disc.json"
+        save_problem(problem, path)
+        calls = []
+        original = sspbounds.bounds.steps_bound_all_proper
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sspbounds.bounds, "steps_bound_all_proper", counted)
+        payload = solve_json(path, ["--algorithm", "vi"], tmp_path)
+        assert payload["bounds"]["method"] == "all-proper"
+        assert len(payload["trace"]) > 2
+        assert len(calls) == 1
+
+    def test_vacuous_horizon_bound_is_inf(self, tmp_path):
+        spec = GridSpec(
+            width=14, height=14, walls=(), exits={(0, 3): 1.0, (5, 0): -1.0},
+            slip_redirects={},
+        )
+        problem = build_gridworld(spec)
+        path = tmp_path / "open14.json"
+        save_problem(problem, path)
+        start = evaluate_policy(problem, uniform_random_policy(problem))
+        assert termination_horizon(problem, start).m == 597  # rho_m = 0.1^596 underflows
+        out = tmp_path / "run.json"
+        code = main(
+            ["solve", "--input", str(path), "--bounds", "general", "--format", "json",
+             "--output", str(out)]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["trace"][0]["m"] == "inf"
+        assert payload["trace"][0]["error"] is None
+        assert all(isinstance(row["m"], float) for row in payload["trace"][1:])
+
+    def test_free_delay_stops_at_fixed_point(self, tmp_path, capsys):
+        path = free_delay_file(tmp_path)
+        start = time.perf_counter()
+        code = main(
+            ["solve", "--input", path, "--algorithm", "vi", "--init", "zero",
+             "--bounds", "general"]
+        )
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.err.strip())["error"] == "HorizonCapExceeded"
+        assert elapsed < 1.0
 
 
 class TestBench:

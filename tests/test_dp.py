@@ -268,6 +268,35 @@ class TestUniformImprovability:
                 values = bellman_backup(problem, values)
                 assert is_uniformly_improvable(problem, values)
 
+    def test_trace_verdicts_match_the_test_on_the_previous_row(
+        self, grid, grid_uniform_values, stay_go
+    ):
+        runs = [
+            (grid, value_iteration(grid, grid_uniform_values, epsilon=1e-9)[1]),
+            (grid, policy_iteration(grid, uniform_random_policy(grid))[2]),
+            (stay_go, value_iteration(stay_go, np.zeros(2), epsilon=1e-9)[1]),
+        ]
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            problem = random_proper_mixed_ssp(rng)
+            try:
+                _, trace = value_iteration(
+                    problem, random_values(rng, problem), epsilon=1e-6, max_iters=200
+                )
+            except MaxItersExceeded as exc:
+                trace = exc.trace
+            runs.append((problem, trace))
+            _, _, trace = policy_iteration(problem, uniform_random_policy(problem))
+            runs.append((problem, trace))
+        verdicts = set()
+        for problem, trace in runs:
+            assert trace.records[0].improvable is None
+            for earlier, later in zip(trace.records, trace.records[1:]):
+                expected = is_uniformly_improvable(problem, earlier.values)
+                assert later.improvable is expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_value_iteration_decreases_from_improvable_start(
         self, grid, grid_uniform_values
     ):
