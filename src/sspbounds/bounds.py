@@ -46,7 +46,11 @@ from .errors import (
     NoTerminalTransition,
     NotAllPoliciesProper,
 )
-from .properness import all_policies_proper, uniform_random_policy
+from .properness import (
+    AllPoliciesProperReport,
+    all_policies_proper,
+    uniform_random_policy,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +58,6 @@ logger = logging.getLogger(__name__)
 # termination forever at nonpositive cost, i.e. the instance admits an
 # improper policy whose cost never diverges.
 DEFAULT_HORIZON_CAP = 10**6
-
-METHODS = ("positive-cost", "all-proper", "general-loose", "override")
 
 # Below this log rho_m the product p_n^(m-1) p_t is no normal float, and the
 # horizon bound m / rho_m is reported as infinite (vacuous).
@@ -82,37 +84,47 @@ class MonteCarloSteps(NamedTuple):
 
 @dataclass(frozen=True)
 class HorizonCertificate:
-    """Output of the termination-horizon search.
+    """Output of the termination-horizon search, in O(S) space.
 
-    ``inevitable_by_stage[k]`` is the set of states from which termination
-    within k stages has positive probability under every policy;
-    ``values_by_stage[k]`` holds the cheapest k-stage cost of avoiding
-    termination (NaN on the inevitable set). Any policy whose cost-to-go is
-    elementwise at most the reference values terminates within ``m`` stages
-    with positive probability from every state.
+    ``joined_at[i]`` is the stage at which state i joined the inevitable
+    set, the states from which termination within that many stages has
+    positive probability under every policy (0 for the terminal, -1 for
+    states that never join); :meth:`inevitable_at` gives any stage's set.
+    ``values`` holds the cheapest cost of avoiding termination for
+    ``last_stage`` stages (NaN on the inevitable set). Any policy whose
+    cost-to-go is elementwise at most the reference values terminates
+    within ``m`` stages with positive probability from every state.
     """
 
     m: int
-    inevitable_by_stage: tuple[frozenset[int], ...]
-    values_by_stage: tuple[np.ndarray, ...]
+    joined_at: np.ndarray
+    values: np.ndarray
     min_terminal_cost: float
 
+    def __post_init__(self):
+        for name in ("joined_at", "values"):
+            array = np.array(getattr(self, name))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def last_stage(self) -> int:
+        """The final stage of the search: m once every state joined, else m - 1."""
+        return self.m if (self.joined_at >= 0).all() else self.m - 1
+
+    def inevitable_at(self, k: int) -> frozenset[int]:
+        """The stage-k inevitable set, for 0 <= k <= ``last_stage``."""
+        if not 0 <= k <= self.last_stage:
+            raise IndexError(f"stage {k} outside 0..{self.last_stage}")
+        joined = (self.joined_at >= 0) & (self.joined_at <= k)
+        return frozenset(int(i) for i in np.nonzero(joined)[0])
+
     def to_json_dict(self) -> dict:
-        stages = []
-        for k, (inevitable, vals) in enumerate(
-            zip(self.inevitable_by_stage, self.values_by_stage)
-        ):
-            stages.append(
-                {
-                    "stage": k,
-                    "inevitable": sorted(inevitable),
-                    "values": [None if math.isnan(v) else v for v in vals.tolist()],
-                }
-            )
         return {
             "m": self.m,
             "min_terminal_cost": self.min_terminal_cost,
-            "stages": stages,
+            "joined_at": [None if k < 0 else k for k in self.joined_at.tolist()],
+            "values": [None if math.isnan(v) else v for v in self.values.tolist()],
         }
 
 
@@ -348,15 +360,19 @@ def _positive_cost_steps(
     return steps
 
 
-def steps_bound_all_proper(problem: SspProblem) -> np.ndarray:
+def steps_bound_all_proper(
+    problem: SspProblem, report: AllPoliciesProperReport | None = None
+) -> np.ndarray:
     """Steps bound valid for *every* policy, via the companion instance.
 
     The companion keeps the transition structure but pays 0 for entering
     the terminal and -1 for everything else, so minimizing its total cost
     maximizes the expected step count. Solvable, and the bound finite,
-    exactly when all policies are proper.
+    exactly when all policies are proper. ``report`` is the instance's
+    :func:`all_policies_proper` report when the caller already has it.
     """
-    report = all_policies_proper(problem)
+    if report is None:
+        report = all_policies_proper(problem)
     if not report.all_proper:
         raise NotAllPoliciesProper(report.witness_states, report.witness_actions)
     t = problem.terminal
@@ -377,6 +393,45 @@ def steps_bound_all_proper(problem: SspProblem) -> np.ndarray:
     return steps
 
 
+class _TransitionIndex(NamedTuple):
+    """Nonzero transitions of an instance, flattened by (state, action) row.
+
+    Entry e moves row ``row[e]`` = state * num_actions + action to state
+    ``to[e]`` with probability ``prob[e]`` at cost ``cost[e]``. The rows
+    with an entry into state j are ``into_rows[into_ptr[j]:into_ptr[j + 1]]``.
+    """
+
+    num_states: int
+    num_actions: int
+    terminal: int
+    row: np.ndarray
+    to: np.ndarray
+    prob: np.ndarray
+    cost: np.ndarray
+    into_ptr: np.ndarray
+    into_rows: np.ndarray
+
+
+def _transition_index(problem: SspProblem) -> _TransitionIndex:
+    """Nonzero transition lists and the reverse index by target state."""
+    states, actions, to = np.nonzero(problem.prob)
+    row = states * problem.num_actions + actions
+    by_target = np.argsort(to, kind="stable")
+    into_ptr = np.zeros(problem.num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(to, minlength=problem.num_states), out=into_ptr[1:])
+    return _TransitionIndex(
+        num_states=problem.num_states,
+        num_actions=problem.num_actions,
+        terminal=problem.terminal,
+        row=row,
+        to=to,
+        prob=problem.prob[states, actions, to],
+        cost=problem.cost[states, actions, to],
+        into_ptr=into_ptr,
+        into_rows=row[by_target],
+    )
+
+
 def termination_horizon(
     problem: SspProblem,
     values: np.ndarray,
@@ -392,7 +447,8 @@ def termination_horizon(
     avoiding for k stages plus the cheapest terminal transition already
     exceeds the reference values everywhere, no policy at least as good as
     ``values`` can keep delaying, and m = k + 1 (or m = k when every state
-    became inevitable first).
+    became inevitable first). Each stage costs O(nnz) in the nonzero
+    transitions.
 
     ``criterion`` selects the stopping comparison: ``"text"`` adds the
     cheapest terminal-transition cost before comparing (the default),
@@ -406,64 +462,70 @@ def termination_horizon(
     require_uniformly_improvable(problem, values)
     if criterion not in ("text", "pseudocode"):
         raise ValueError(f"criterion must be 'text' or 'pseudocode', got {criterion!r}")
-    if max_stages is None:
-        max_stages = DEFAULT_HORIZON_CAP
     min_terminal_cost = _min_terminal_cost(problem)
     offset = min_terminal_cost if criterion == "text" else 0.0
-    t = problem.terminal
+    m, joined_at, stage_values = _search_horizon(
+        _transition_index(problem), values, offset, max_stages
+    )
+    return HorizonCertificate(
+        m=m,
+        joined_at=joined_at,
+        values=np.where(joined_at >= 0, np.nan, stage_values),
+        min_terminal_cost=min_terminal_cost,
+    )
 
-    inevitable = np.zeros(problem.num_states, dtype=bool)
-    inevitable[t] = True
-    stage_values = np.zeros(problem.num_states)
 
-    def report_values() -> np.ndarray:
-        out = stage_values.copy()
-        out[inevitable] = np.nan
-        return out
+def _search_horizon(
+    index: _TransitionIndex, values: np.ndarray, offset: float, max_stages: int | None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The horizon recursion: m, each state's joining stage and the last stage values.
 
-    inevitable_by_stage = [frozenset({t})]
-    values_by_stage = [report_values()]
+    ``offset`` is added to the stage values before the stop comparison.
+    The returned values are stale on the inevitable set.
+    """
+    if max_stages is None:
+        max_stages = DEFAULT_HORIZON_CAP
+    num_states, num_actions = index.num_states, index.num_actions
+    joined_at = np.full(num_states, -1, dtype=np.int64)
+    joined_at[index.terminal] = 0
+    frontier = [index.terminal]
+    risky = np.zeros((num_states, num_actions), dtype=bool)
+    risky_rows = risky.reshape(-1)
+    stage_values = np.zeros(num_states)
 
     k = 0
     while True:
-        outside = ~inevitable
+        outside = joined_at < 0
         if not outside.any():
-            m = k
-            break
+            return k, joined_at, stage_values
         if (stage_values[outside] + offset > values[outside]).all():
-            m = k + 1
-            break
+            return k + 1, joined_at, stage_values
         if k >= max_stages:
             raise HorizonCapExceeded(k)
         k += 1
         # Actions are usable at stage k only if they carry no mass into the
-        # stage-(k-1) inevitable set; stale values there get zero weight.
-        mass_into = np.einsum("suj,j->su", problem.prob, inevitable.astype(float))
-        usable = mass_into == 0.0
-        can_avoid = usable.any(axis=1)
+        # stage-(k-1) inevitable set; only the rows entering the states that
+        # joined last can newly lose that.
+        for j in frontier:
+            risky_rows[index.into_rows[index.into_ptr[j] : index.into_ptr[j + 1]]] = True
+        can_avoid = ~risky.all(axis=1)
         joining = outside & ~can_avoid
         staying = outside & can_avoid
-        backed = np.einsum(
-            "suj,suj->su", problem.prob, problem.cost + stage_values[None, None, :]
-        )
-        backed = np.where(usable, backed, np.inf)
-        new_values = stage_values.copy()
-        new_values[staying] = backed[staying].min(axis=1)
+        # stale values on the inevitable set only reach risky rows
+        backed = np.bincount(
+            index.row,
+            index.prob * (index.cost + stage_values[index.to]),
+            minlength=num_states * num_actions,
+        ).reshape(num_states, num_actions)
+        backed[risky] = np.inf
+        new_values = np.where(staying, backed.min(axis=1), stage_values)
         if not joining.any() and np.array_equal(new_values, stage_values):
             # Every later stage would repeat this one, so the stop test that
             # just failed would fail forever.
             raise HorizonCapExceeded(k)
-        inevitable = inevitable | joining
+        frontier = np.nonzero(joining)[0]
+        joined_at[frontier] = k
         stage_values = new_values
-        inevitable_by_stage.append(frozenset(int(i) for i in np.nonzero(inevitable)[0]))
-        values_by_stage.append(report_values())
-
-    return HorizonCertificate(
-        m=m,
-        inevitable_by_stage=tuple(inevitable_by_stage),
-        values_by_stage=tuple(values_by_stage),
-        min_terminal_cost=min_terminal_cost,
-    )
 
 
 def steps_bound_from_horizon(
@@ -577,19 +639,25 @@ def resolve_method(problem: SspProblem, method: str = "auto") -> str:
     cost is positive, else all-proper when no improper policy exists, else
     the general horizon-based procedure.
     """
+    return _resolve(problem, method)[0]
+
+
+def _resolve(
+    problem: SspProblem, method: str
+) -> tuple[str, AllPoliciesProperReport | None]:
+    """The resolved method, plus the properness report if resolving needed one."""
     if method != "auto":
         if method not in ("positive-cost", "all-proper", "general"):
             raise ValueError(f"unknown bounds method {method!r}")
-        return method
+        return method, None
     t = problem.terminal
     nonterminal_moves = problem.prob > 0.0
     nonterminal_moves[t, :, :] = False
     nonterminal_moves[:, :, t] = False
     if (problem.cost[nonterminal_moves] > 0.0).all():
-        return "positive-cost"
-    if all_policies_proper(problem).all_proper:
-        return "all-proper"
-    return "general"
+        return "positive-cost", None
+    report = all_policies_proper(problem)
+    return ("all-proper" if report.all_proper else "general"), report
 
 
 @dataclass(frozen=True)
@@ -601,10 +669,12 @@ class BoundsContext:
     step (N = 1 there) and ``counted`` the nonterminal states that are not
     overridden. The procedure's own fields are set only for it:
     ``min_terminal_cost`` (a) and ``min_step_cost`` (b) for positive-cost,
-    the companion solve's ``all_proper_steps`` for all-proper, and the
-    probabilities ``p_terminal`` and ``p_nonterminal`` of rho_m for general.
-    Per iterate, positive-cost and all-proper then cost O(S); general still
-    runs the horizon search for each J.
+    the companion solve's ``all_proper_steps`` for all-proper, and for
+    general ``min_terminal_cost`` again (the horizon search's stop offset),
+    the probabilities ``p_terminal`` and ``p_nonterminal`` of rho_m and the
+    ``horizon_index`` of nonzero transitions the search runs on. Per
+    iterate, positive-cost and all-proper then cost O(S); general runs the
+    horizon search, O(nnz) per stage, for each J.
     """
 
     problem: SspProblem
@@ -617,21 +687,27 @@ class BoundsContext:
     all_proper_steps: np.ndarray | None = None
     p_terminal: float | None = None
     p_nonterminal: float | None = None
+    horizon_index: _TransitionIndex | None = None
 
     @classmethod
     def for_problem(
         cls, problem: SspProblem, method: str = "auto", horizon_cap: int | None = None
     ) -> BoundsContext:
         """Resolve the method and compute its ingredients; raises when they do not exist."""
-        resolved = resolve_method(problem, method)
+        resolved, proper_report = _resolve(problem, method)
         if resolved == "positive-cost":
             a, b = _positive_cost_ingredients(problem)
             ingredients = {"min_terminal_cost": a, "min_step_cost": b}
         elif resolved == "all-proper":
-            ingredients = {"all_proper_steps": steps_bound_all_proper(problem)}
+            ingredients = {"all_proper_steps": steps_bound_all_proper(problem, proper_report)}
         else:
             p_t, p_n = _horizon_probabilities(problem)
-            ingredients = {"p_terminal": p_t, "p_nonterminal": p_n}
+            ingredients = {
+                "min_terminal_cost": _min_terminal_cost(problem),
+                "p_terminal": p_t,
+                "p_nonterminal": p_n,
+                "horizon_index": _transition_index(problem),
+            }
         overridden = immediate_termination_states(problem)
         return cls(
             problem=problem,
@@ -655,12 +731,12 @@ class BoundsContext:
         elif self.method == "all-proper":
             steps = self.all_proper_steps.copy()
         else:
-            certificate = termination_horizon(
-                self.problem, values, max_stages=self.horizon_cap
+            m, _, _ = _search_horizon(
+                self.horizon_index, values, self.min_terminal_cost, self.horizon_cap
             )
             steps = np.zeros(self.problem.num_states)
             steps[self.problem.nonterminal] = _horizon_steps(
-                certificate.m, self.p_terminal, self.p_nonterminal
+                m, self.p_terminal, self.p_nonterminal
             )
         steps[self.overridden] = 1.0
         return steps

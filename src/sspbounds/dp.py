@@ -163,7 +163,8 @@ def residual_stats(backed_up: np.ndarray, values: np.ndarray) -> ResidualStats:
     diff = backed_up - values
     min_change = float(diff.min())
     max_change = float(diff.max())
-    return ResidualStats(max(-min_change, max_change), min_change, max_change)
+    # abs turns the -0.0 of max(-0.0, 0.0) into +0.0 when TJ == J
+    return ResidualStats(abs(max(-min_change, max_change)), min_change, max_change)
 
 
 def bellman_residual(problem: SspProblem, values: np.ndarray) -> ResidualStats:

@@ -11,7 +11,8 @@ from sspbounds import (
     SspProblem,
     evaluate_policy,
 )
-from sspbounds.errors import ImproperPolicy
+from sspbounds.bounds import DEFAULT_HORIZON_CAP
+from sspbounds.errors import HorizonCapExceeded, ImproperPolicy
 
 
 def _random_distribution(rng, targets, total=1.0):
@@ -133,3 +134,60 @@ def random_values(rng, problem: SspProblem, low=-2.0, high=2.0) -> np.ndarray:
     values = rng.uniform(low, high, size=problem.num_states)
     values[problem.terminal] = 0.0
     return values
+
+
+def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=None):
+    """The termination-horizon recursion on the dense tensors, stage by stage.
+
+    Returns m, the inevitable set of every stage and every stage's
+    avoidance values (NaN on the inevitable set); raises
+    :class:`HorizonCapExceeded` where the search must. Each stage does two
+    dense S x A x S contractions, so it is only usable on small instances.
+    Assumes a uniformly improvable ``values``.
+    """
+    if max_stages is None:
+        max_stages = DEFAULT_HORIZON_CAP
+    t = problem.terminal
+    entries = problem.prob[:, :, t] > 0.0
+    entries[t, :] = False
+    min_terminal_cost = float(problem.cost[:, :, t][entries].min())
+    offset = min_terminal_cost if criterion == "text" else 0.0
+
+    inevitable = np.zeros(problem.num_states, dtype=bool)
+    inevitable[t] = True
+    stage_values = np.zeros(problem.num_states)
+
+    def report_values():
+        out = stage_values.copy()
+        out[inevitable] = np.nan
+        return out
+
+    inevitable_by_stage = [frozenset({t})]
+    values_by_stage = [report_values()]
+    k = 0
+    while True:
+        outside = ~inevitable
+        if not outside.any():
+            return k, inevitable_by_stage, values_by_stage
+        if (stage_values[outside] + offset > values[outside]).all():
+            return k + 1, inevitable_by_stage, values_by_stage
+        if k >= max_stages:
+            raise HorizonCapExceeded(k)
+        k += 1
+        mass_into = np.einsum("suj,j->su", problem.prob, inevitable.astype(float))
+        usable = mass_into == 0.0
+        can_avoid = usable.any(axis=1)
+        joining = outside & ~can_avoid
+        staying = outside & can_avoid
+        backed = np.einsum(
+            "suj,suj->su", problem.prob, problem.cost + stage_values[None, None, :]
+        )
+        backed = np.where(usable, backed, np.inf)
+        new_values = stage_values.copy()
+        new_values[staying] = backed[staying].min(axis=1)
+        if not joining.any() and np.array_equal(new_values, stage_values):
+            raise HorizonCapExceeded(k)
+        inevitable = inevitable | joining
+        stage_values = new_values
+        inevitable_by_stage.append(frozenset(int(i) for i in np.nonzero(inevitable)[0]))
+        values_by_stage.append(report_values())

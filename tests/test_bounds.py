@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_optimal, random_all_proper_ssp
+from helpers import (
+    brute_force_optimal,
+    random_all_proper_ssp,
+    random_proper_mixed_ssp,
+    reference_horizon,
+)
 from sspbounds import (
     DeterministicPolicy,
     SspProblem,
@@ -67,6 +72,24 @@ def delay_or_exit_instance():
     cost[1, 1, 0] = 1.0
     prob[2, :, 2] = 1.0
     return SspProblem(num_states=3, num_actions=2, terminal=2, prob=prob, cost=cost)
+
+
+def lazy_chain_instance(length=110, advance=2.0**-10):
+    """One-action chain that advances with probability ``advance`` per step.
+
+    Each step costs 1, so J(i) = (i + 1) / advance exactly (TJ = J).
+    Returns the instance and that J.
+    """
+    n = length + 1
+    prob = np.zeros((n, 1, n))
+    for i in range(length):
+        prob[i, 0, i] = 1.0 - advance
+        prob[i, 0, i - 1 if i else length] = advance
+    prob[length, 0, length] = 1.0
+    cost = np.where(prob > 0.0, 1.0, 0.0)
+    cost[length] = 0.0
+    problem = SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
+    return problem, np.append(np.arange(1, length + 1) / advance, 0.0)
 
 
 def free_delay_instance():
@@ -300,18 +323,22 @@ class TestTerminationHorizon:
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         assert certificate.m == 2
         assert certificate.min_terminal_cost == 2.0
-        assert certificate.inevitable_by_stage[0] == frozenset({1})
-        assert certificate.values_by_stage[1][0] == 1.0
-        final = certificate.values_by_stage[-1]
+        assert certificate.inevitable_at(0) == frozenset({1})
+        assert certificate.last_stage == 1
+        assert certificate.values[0] == 1.0
+        final = certificate.values
         outside = [
-            i for i in range(2) if i not in certificate.inevitable_by_stage[-1]
+            i for i in range(2)
+            if i not in certificate.inevitable_at(certificate.last_stage)
         ]
         for i in outside:
             assert final[i] + certificate.min_terminal_cost > 2.0
 
     def test_stage_sets_grow(self, grid, grid_optimal_values):
         certificate = termination_horizon(grid, grid_optimal_values)
-        stages = certificate.inevitable_by_stage
+        stages = [
+            certificate.inevitable_at(k) for k in range(certificate.last_stage + 1)
+        ]
         assert stages[0] == frozenset({grid.terminal})
         for earlier, later in zip(stages, stages[1:]):
             assert earlier <= later
@@ -331,7 +358,7 @@ class TestTerminationHorizon:
         values = evaluate_policy(problem, uniform_random_policy(problem))
         certificate = termination_horizon(problem, values)
         assert certificate.m == 1
-        assert certificate.inevitable_by_stage[-1] == frozenset({0, 1, 2})
+        assert certificate.inevitable_at(certificate.last_stage) == frozenset({0, 1, 2})
 
     def test_free_delay_hits_the_cap(self):
         problem = free_delay_instance()
@@ -366,9 +393,63 @@ class TestTerminationHorizon:
     def test_certificate_serializes(self, stay_go):
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         payload = json.loads(json.dumps(certificate.to_json_dict()))
+        assert sorted(payload) == ["joined_at", "m", "min_terminal_cost", "values"]
         assert payload["m"] == 2
-        assert payload["stages"][0]["inevitable"] == [1]
-        assert payload["stages"][0]["values"][1] is None
+        assert payload["joined_at"] == [None, 0]
+        assert payload["values"] == [1.0, None]
+
+
+def horizon_oracle_cases():
+    """(name, problem, values) triples the horizon search is checked on."""
+    from sspbounds import build_gridworld, stay_or_go_instance
+
+    grid = build_gridworld()
+    uniform = evaluate_policy(grid, uniform_random_policy(grid))
+    optimal, _ = value_iteration(grid, uniform, epsilon=1e-12, max_iters=100_000)
+    cases = [
+        ("grid-optimal", grid, optimal),
+        ("grid-uniform", grid, uniform),
+        ("stay-or-go", stay_or_go_instance(), np.array([2.0, 0.0])),
+        ("delay-or-exit", delay_or_exit_instance(), np.array([0.75, 1.0, 0.0])),
+        ("lazy-chain", *lazy_chain_instance()),
+    ]
+    rng = np.random.default_rng(97)
+    for k in range(20):
+        problem = random_proper_mixed_ssp(rng)
+        values = evaluate_policy(problem, uniform_random_policy(problem))
+        cases.append((f"random-{k}", problem, values))
+    return cases
+
+
+class TestHorizonOracle:
+    """The nonzero-transition search matches the dense stage-by-stage recursion."""
+
+    @pytest.mark.parametrize("criterion", ["text", "pseudocode"])
+    def test_matches_dense_recursion(self, criterion):
+        for name, problem, values in horizon_oracle_cases():
+            certificate = termination_horizon(problem, values, criterion=criterion)
+            m, stage_sets, stage_values = reference_horizon(problem, values, criterion)
+            assert certificate.m == m, name
+            assert certificate.last_stage == len(stage_sets) - 1, name
+            for k, expected in enumerate(stage_sets):
+                assert certificate.inevitable_at(k) == expected, (name, k)
+            np.testing.assert_allclose(
+                certificate.values, stage_values[-1], rtol=1e-12, atol=0.0, err_msg=name
+            )
+
+    @pytest.mark.parametrize("max_stages", [None, 0])
+    def test_same_cap_stage_on_free_delay(self, max_stages):
+        problem = free_delay_instance()
+        with pytest.raises(HorizonCapExceeded) as ours:
+            termination_horizon(problem, np.zeros(2), max_stages=max_stages)
+        with pytest.raises(HorizonCapExceeded) as reference:
+            reference_horizon(problem, np.zeros(2), max_stages=max_stages)
+        assert ours.value.stage == reference.value.stage
+
+    def test_stage_outside_the_search_rejected(self, stay_go):
+        certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
+        with pytest.raises(IndexError):
+            certificate.inevitable_at(certificate.last_stage + 1)
 
 
 class TestLooseBoundFromHorizon:
@@ -395,24 +476,17 @@ class TestLooseBoundFromHorizon:
     def test_underflow_gives_vacuous_bound_and_zero_residual_kills_it(self):
         # Lazy chain: each step advances with probability 2^-10, so
         # rho_m = 2^(-10 m) underflows; J(i) = 1024 (i + 1) is exact, so TJ = J.
-        length, advance = 110, 2.0**-10
-        n = length + 1
-        prob = np.zeros((n, 1, n))
-        for i in range(length):
-            prob[i, 0, i] = 1.0 - advance
-            prob[i, 0, i - 1 if i else length] = advance
-        prob[length, 0, length] = 1.0
-        cost = np.where(prob > 0.0, 1.0, 0.0)
-        cost[length] = 0.0
-        problem = SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
-        values = np.append(1024.0 * np.arange(1, length + 1), 0.0)
+        length = 110
+        problem, values = lazy_chain_instance(length, 2.0**-10)
         certificate = termination_horizon(problem, values)
         assert certificate.m == length
         steps = steps_bound_from_horizon(problem, certificate)
         assert np.isinf(steps[:length]).all()
         report = compute_bounds_report(problem, values, method="general")
         assert report.residual == 0.0
+        assert math.copysign(1.0, report.residual) == 1.0
         assert (report.per_state_bound == 0.0).all()
+        assert not np.signbit(report.per_state_bound).any()
         assert report.global_bound == 0.0
         assert report.to_json_dict()["steps_bound"][0] == "inf"
 

@@ -278,6 +278,42 @@ class TestTraceBounds:
         assert len(payload["trace"]) > 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_one_properness_pass_per_run(self, tmp_path, monkeypatch, algorithm):
+        problem = random_all_proper_ssp(np.random.default_rng(3))
+        path = tmp_path / "proper.json"
+        save_problem(problem, path)
+        calls = []
+        original = sspbounds.bounds.all_policies_proper
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sspbounds.bounds, "all_policies_proper", counted)
+        payload = solve_json(path, ["--algorithm", algorithm], tmp_path)
+        assert payload["bounds"]["method"] == "all-proper"
+        assert len(calls) == 1
+
+    def test_one_transition_index_per_general_run(self, tmp_path, monkeypatch):
+        problem = build_gridworld()
+        path = tmp_path / "grid.json"
+        save_problem(problem, path)
+        calls = []
+        original = sspbounds.bounds._transition_index
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sspbounds.bounds, "_transition_index", counted)
+        payload = solve_json(
+            path, ["--algorithm", "vi", "--bounds", "general"], tmp_path
+        )
+        assert len(payload["trace"]) > 2
+        assert payload["bounds"]["method"] == "general-loose"
+        assert len(calls) == 1
+
     def test_vacuous_horizon_bound_is_inf(self, tmp_path):
         spec = GridSpec(
             width=14, height=14, walls=(), exits={(0, 3): 1.0, (5, 0): -1.0},
@@ -381,7 +417,10 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["uniformly_improvable"] is True
-        assert payload["horizon_certificate"]["m"] > 0
+        certificate = payload["horizon_certificate"]
+        assert certificate["m"] > 0
+        # one entry per state, whatever m
+        assert len(certificate["joined_at"]) == len(certificate["values"]) == 12
 
     def test_check_rejects_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
