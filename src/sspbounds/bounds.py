@@ -174,33 +174,99 @@ class TraceRow(NamedTuple):
     error: float | None
 
 
+class KernelFacts(NamedTuple):
+    """What the steps bounds need to know about an instance's transition graph.
+
+    A *move* is a transition out of a nonterminal state, and a *step* a
+    move into a nonterminal state. ``overridden`` marks the nonterminal
+    states without a step (N = 1 there) and ``counted`` the other
+    nonterminal states, those behind max N. ``nonpositive_steps`` lists
+    the (state, action, target) triples of steps whose cost is not
+    positive, in row-major order. ``min_terminal_cost`` (a) and
+    ``p_terminal`` (p_t) are the cheapest cost and the smallest
+    probability of a move into the terminal, None when there is none.
+    ``min_step_cost`` (b) and ``p_nonterminal`` (p_n) are the same for
+    steps, and ``min_expected_step_cost`` is the smallest expected step
+    cost of a (state, action) row per unit of its step probability; they
+    are inf, 1 and inf when there is no step.
+    """
+
+    overridden: np.ndarray
+    counted: np.ndarray
+    nonpositive_steps: np.ndarray
+    min_terminal_cost: float | None
+    p_terminal: float | None
+    min_step_cost: float
+    min_expected_step_cost: float
+    p_nonterminal: float
+
+    def terminal_move(self) -> tuple[float, float]:
+        """(a, p_t); raises :class:`NoTerminalTransition` when no move enters the terminal."""
+        if self.min_terminal_cost is None:
+            raise NoTerminalTransition()
+        return self.min_terminal_cost, self.p_terminal
+
+    def positive_cost(self, refine_step_cost: bool = False) -> tuple[float, float]:
+        """(a, b) of the closed form; b is the expected-cost refinement on request."""
+        if self.nonpositive_steps.size:
+            raise NonpositiveCost(tuple(map(int, triple)) for triple in self.nonpositive_steps)
+        b = self.min_expected_step_cost if refine_step_cost else self.min_step_cost
+        return self.terminal_move()[0], b
+
+
+def _kernel_facts(problem: SspProblem) -> KernelFacts:
+    """Read the structural facts of the steps bounds off the nonzero-transition view."""
+    view = problem.transitions
+    t = problem.terminal
+    states, actions = np.divmod(view.row, problem.num_actions)
+    moves = states != t
+    into_terminal = moves & (view.to == t)
+    steps = moves & (view.to != t)
+
+    overridden = np.ones(problem.num_states, dtype=bool)
+    overridden[states[steps]] = False
+    overridden[t] = False
+    counted = ~overridden
+    counted[t] = False
+
+    nonpositive = steps & ~(view.cost > 0.0)
+    nonpositive_steps = np.column_stack(
+        (states[nonpositive], actions[nonpositive], view.to[nonpositive])
+    )
+    min_terminal_cost = p_terminal = None
+    if into_terminal.any():
+        min_terminal_cost = float(view.cost[into_terminal].min())
+        p_terminal = float(view.prob[into_terminal].min())
+    min_step_cost = min_expected_step_cost = math.inf
+    p_nonterminal = 1.0
+    if steps.any():
+        step_prob, step_cost = view.prob[steps], view.cost[steps]
+        min_step_cost = float(step_cost.min())
+        p_nonterminal = float(step_prob.min())
+        # rows without a step get zero mass and drop out
+        mass = np.bincount(view.row[steps], step_prob)
+        expected = np.bincount(view.row[steps], step_prob * step_cost)
+        with_mass = mass > 0.0
+        min_expected_step_cost = float((expected[with_mass] / mass[with_mass]).min())
+    return KernelFacts(
+        overridden=overridden,
+        counted=counted,
+        nonpositive_steps=nonpositive_steps,
+        min_terminal_cost=min_terminal_cost,
+        p_terminal=p_terminal,
+        min_step_cost=min_step_cost,
+        min_expected_step_cost=min_expected_step_cost,
+        p_nonterminal=p_nonterminal,
+    )
+
+
 def immediate_termination_states(problem: SspProblem) -> np.ndarray:
     """Boolean mask of nonterminal states whose every action jumps to the terminal.
 
     Such a state terminates in exactly one step under any policy, so its
     steps bound can be overridden to 1.
     """
-    mass_to_nonterminal = problem.prob.sum(axis=2) - problem.prob[:, :, problem.terminal]
-    mask = (mass_to_nonterminal == 0.0).all(axis=1)
-    mask[problem.terminal] = False
-    return mask
-
-
-def _counted_states(problem: SspProblem, overridden: np.ndarray) -> np.ndarray:
-    """Nonterminal states that are not overridden: the states behind max N."""
-    mask = ~overridden
-    mask[problem.terminal] = False
-    return mask
-
-
-def _min_terminal_cost(problem: SspProblem) -> float:
-    """Cheapest transition into the terminal from a nonterminal state."""
-    t = problem.terminal
-    entries = problem.prob[:, :, t] > 0.0
-    entries[t, :] = False
-    if not entries.any():
-        raise NoTerminalTransition()
-    return float(problem.cost[:, :, t][entries].min())
+    return _kernel_facts(problem).overridden
 
 
 def _steps_product(change: float, steps: np.ndarray) -> np.ndarray:
@@ -281,7 +347,7 @@ def global_suboptimality(
     values = check_values(problem, values)
     backed_up = require_uniformly_improvable(problem, values)
     steps_bound = np.asarray(steps_bound, dtype=float)
-    mask = _counted_states(problem, immediate_termination_states(problem))
+    mask = _kernel_facts(problem).counted
     factor = float(steps_bound[mask].max()) if mask.any() else 1.0
     return residual_stats(backed_up, values).residual * factor
 
@@ -307,38 +373,8 @@ def steps_bound_positive_costs(
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
-    a, b = _positive_cost_ingredients(problem, refine_step_cost)
+    a, b = _kernel_facts(problem).positive_cost(refine_step_cost)
     return _positive_cost_steps(problem, values, a, b)
-
-
-def _positive_cost_ingredients(
-    problem: SspProblem, refine_step_cost: bool = False
-) -> tuple[float, float]:
-    """The cheapest terminal transition a and cheapest step b of the closed form."""
-    t = problem.terminal
-    positive = problem.prob > 0.0
-    nonterminal_moves = positive.copy()
-    nonterminal_moves[t, :, :] = False
-    nonterminal_moves[:, :, t] = False
-    offending = np.argwhere(nonterminal_moves & (problem.cost <= 0.0))
-    if offending.size:
-        raise NonpositiveCost([tuple(map(int, o)) for o in offending])
-
-    min_terminal_cost = _min_terminal_cost(problem)
-    if refine_step_cost:
-        masked_prob = np.where(nonterminal_moves, problem.prob, 0.0)
-        mass = masked_prob.sum(axis=2)
-        expected = np.einsum("suj,suj->su", masked_prob, problem.cost)
-        with_mass = mass > 0.0
-        min_step_cost = (
-            float((expected[with_mass] / mass[with_mass]).min())
-            if with_mass.any()
-            else math.inf
-        )
-    else:
-        step_costs = problem.cost[nonterminal_moves]
-        min_step_cost = float(step_costs.min()) if step_costs.size else math.inf
-    return min_terminal_cost, min_step_cost
 
 
 def _positive_cost_steps(
@@ -393,45 +429,6 @@ def steps_bound_all_proper(
     return steps
 
 
-class _TransitionIndex(NamedTuple):
-    """Nonzero transitions of an instance, flattened by (state, action) row.
-
-    Entry e moves row ``row[e]`` = state * num_actions + action to state
-    ``to[e]`` with probability ``prob[e]`` at cost ``cost[e]``. The rows
-    with an entry into state j are ``into_rows[into_ptr[j]:into_ptr[j + 1]]``.
-    """
-
-    num_states: int
-    num_actions: int
-    terminal: int
-    row: np.ndarray
-    to: np.ndarray
-    prob: np.ndarray
-    cost: np.ndarray
-    into_ptr: np.ndarray
-    into_rows: np.ndarray
-
-
-def _transition_index(problem: SspProblem) -> _TransitionIndex:
-    """Nonzero transition lists and the reverse index by target state."""
-    states, actions, to = np.nonzero(problem.prob)
-    row = states * problem.num_actions + actions
-    by_target = np.argsort(to, kind="stable")
-    into_ptr = np.zeros(problem.num_states + 1, dtype=np.int64)
-    np.cumsum(np.bincount(to, minlength=problem.num_states), out=into_ptr[1:])
-    return _TransitionIndex(
-        num_states=problem.num_states,
-        num_actions=problem.num_actions,
-        terminal=problem.terminal,
-        row=row,
-        to=to,
-        prob=problem.prob[states, actions, to],
-        cost=problem.cost[states, actions, to],
-        into_ptr=into_ptr,
-        into_rows=row[by_target],
-    )
-
-
 def termination_horizon(
     problem: SspProblem,
     values: np.ndarray,
@@ -462,11 +459,9 @@ def termination_horizon(
     require_uniformly_improvable(problem, values)
     if criterion not in ("text", "pseudocode"):
         raise ValueError(f"criterion must be 'text' or 'pseudocode', got {criterion!r}")
-    min_terminal_cost = _min_terminal_cost(problem)
+    min_terminal_cost, _ = _kernel_facts(problem).terminal_move()
     offset = min_terminal_cost if criterion == "text" else 0.0
-    m, joined_at, stage_values = _search_horizon(
-        _transition_index(problem), values, offset, max_stages
-    )
+    m, joined_at, stage_values = _search_horizon(problem, values, offset, max_stages)
     return HorizonCertificate(
         m=m,
         joined_at=joined_at,
@@ -476,7 +471,7 @@ def termination_horizon(
 
 
 def _search_horizon(
-    index: _TransitionIndex, values: np.ndarray, offset: float, max_stages: int | None
+    problem: SspProblem, values: np.ndarray, offset: float, max_stages: int | None
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The horizon recursion: m, each state's joining stage and the last stage values.
 
@@ -485,10 +480,12 @@ def _search_horizon(
     """
     if max_stages is None:
         max_stages = DEFAULT_HORIZON_CAP
-    num_states, num_actions = index.num_states, index.num_actions
+    num_states, num_actions = problem.num_states, problem.num_actions
+    view = problem.transitions
+    into_ptr, into_rows = view.into
     joined_at = np.full(num_states, -1, dtype=np.int64)
-    joined_at[index.terminal] = 0
-    frontier = [index.terminal]
+    joined_at[problem.terminal] = 0
+    frontier = [problem.terminal]
     risky = np.zeros((num_states, num_actions), dtype=bool)
     risky_rows = risky.reshape(-1)
     stage_values = np.zeros(num_states)
@@ -507,14 +504,14 @@ def _search_horizon(
         # stage-(k-1) inevitable set; only the rows entering the states that
         # joined last can newly lose that.
         for j in frontier:
-            risky_rows[index.into_rows[index.into_ptr[j] : index.into_ptr[j + 1]]] = True
+            risky_rows[into_rows[into_ptr[j] : into_ptr[j + 1]]] = True
         can_avoid = ~risky.all(axis=1)
         joining = outside & ~can_avoid
         staying = outside & can_avoid
         # stale values on the inevitable set only reach risky rows
         backed = np.bincount(
-            index.row,
-            index.prob * (index.cost + stage_values[index.to]),
+            view.row,
+            view.prob * (view.cost + stage_values[view.to]),
             minlength=num_states * num_actions,
         ).reshape(num_states, num_actions)
         backed[risky] = np.inf
@@ -540,29 +537,13 @@ def steps_bound_from_horizon(
     looser than the cost-based bounds. When rho_m is too small to be a
     normal float the bound is infinite, i.e. vacuous.
     """
+    facts = _kernel_facts(problem)
+    _, p_terminal = facts.terminal_move()
     steps = np.zeros(problem.num_states)
     steps[problem.nonterminal] = _horizon_steps(
-        certificate.m, *_horizon_probabilities(problem)
+        certificate.m, p_terminal, facts.p_nonterminal
     )
     return steps
-
-
-def _horizon_probabilities(problem: SspProblem) -> tuple[float, float]:
-    """Smallest nonzero probabilities p_t into the terminal and p_n elsewhere."""
-    t = problem.terminal
-    into_terminal = problem.prob[:, :, t].copy()
-    into_terminal[t, :] = 0.0
-    entries = into_terminal[into_terminal > 0.0]
-    if entries.size == 0:
-        raise NoTerminalTransition()
-    p_terminal = float(entries.min())
-
-    others = problem.prob.copy()
-    others[t, :, :] = 0.0
-    others[:, :, t] = 0.0
-    other_entries = others[others > 0.0]
-    p_nonterminal = float(other_entries.min()) if other_entries.size else 1.0
-    return p_terminal, p_nonterminal
 
 
 def _horizon_steps(m: int, p_terminal: float, p_nonterminal: float) -> float:
@@ -639,22 +620,18 @@ def resolve_method(problem: SspProblem, method: str = "auto") -> str:
     cost is positive, else all-proper when no improper policy exists, else
     the general horizon-based procedure.
     """
-    return _resolve(problem, method)[0]
+    return _resolve(problem, method, _kernel_facts(problem))[0]
 
 
 def _resolve(
-    problem: SspProblem, method: str
+    problem: SspProblem, method: str, facts: KernelFacts
 ) -> tuple[str, AllPoliciesProperReport | None]:
     """The resolved method, plus the properness report if resolving needed one."""
     if method != "auto":
         if method not in ("positive-cost", "all-proper", "general"):
             raise ValueError(f"unknown bounds method {method!r}")
         return method, None
-    t = problem.terminal
-    nonterminal_moves = problem.prob > 0.0
-    nonterminal_moves[t, :, :] = False
-    nonterminal_moves[:, :, t] = False
-    if (problem.cost[nonterminal_moves] > 0.0).all():
+    if not facts.nonpositive_steps.size:
         return "positive-cost", None
     report = all_policies_proper(problem)
     return ("all-proper" if report.all_proper else "general"), report
@@ -665,58 +642,37 @@ class BoundsContext:
     """The steps-bound procedure of one instance and its J-independent ingredients.
 
     Build it once per run with :meth:`for_problem`. ``method`` is the
-    resolved procedure, ``overridden`` the states that terminate in one
-    step (N = 1 there) and ``counted`` the nonterminal states that are not
-    overridden. The procedure's own fields are set only for it:
-    ``min_terminal_cost`` (a) and ``min_step_cost`` (b) for positive-cost,
-    the companion solve's ``all_proper_steps`` for all-proper, and for
-    general ``min_terminal_cost`` again (the horizon search's stop offset),
-    the probabilities ``p_terminal`` and ``p_nonterminal`` of rho_m and the
-    ``horizon_index`` of nonzero transitions the search runs on. Per
-    iterate, positive-cost and all-proper then cost O(S); general runs the
-    horizon search, O(nnz) per stage, for each J.
+    resolved procedure and ``facts`` the instance's :class:`KernelFacts`,
+    whose ingredients of that procedure are known to exist: the override
+    mask, the counted states, and a and b for positive-cost or a, p_t and
+    p_n for general. ``all_proper_steps`` holds the companion solve of
+    all-proper. Per iterate, positive-cost and all-proper then cost O(S);
+    general runs the horizon search, O(nnz) per stage, for each J, on the
+    instance's nonzero-transition view.
     """
 
     problem: SspProblem
     method: str
-    overridden: np.ndarray
-    counted: np.ndarray
+    facts: KernelFacts
     horizon_cap: int | None = None
-    min_terminal_cost: float | None = None
-    min_step_cost: float | None = None
     all_proper_steps: np.ndarray | None = None
-    p_terminal: float | None = None
-    p_nonterminal: float | None = None
-    horizon_index: _TransitionIndex | None = None
 
     @classmethod
     def for_problem(
         cls, problem: SspProblem, method: str = "auto", horizon_cap: int | None = None
     ) -> BoundsContext:
-        """Resolve the method and compute its ingredients; raises when they do not exist."""
-        resolved, proper_report = _resolve(problem, method)
+        """Resolve the method; raises when its ingredients do not exist."""
+        facts = _kernel_facts(problem)
+        resolved, proper_report = _resolve(problem, method, facts)
+        all_proper_steps = None
+        # called for their errors only: the context reads the fields
         if resolved == "positive-cost":
-            a, b = _positive_cost_ingredients(problem)
-            ingredients = {"min_terminal_cost": a, "min_step_cost": b}
+            facts.positive_cost()
         elif resolved == "all-proper":
-            ingredients = {"all_proper_steps": steps_bound_all_proper(problem, proper_report)}
+            all_proper_steps = steps_bound_all_proper(problem, proper_report)
         else:
-            p_t, p_n = _horizon_probabilities(problem)
-            ingredients = {
-                "min_terminal_cost": _min_terminal_cost(problem),
-                "p_terminal": p_t,
-                "p_nonterminal": p_n,
-                "horizon_index": _transition_index(problem),
-            }
-        overridden = immediate_termination_states(problem)
-        return cls(
-            problem=problem,
-            method=resolved,
-            overridden=overridden,
-            counted=_counted_states(problem, overridden),
-            horizon_cap=horizon_cap,
-            **ingredients,
-        )
+            facts.terminal_move()
+        return cls(problem, resolved, facts, horizon_cap, all_proper_steps)
 
     def steps(self, values: np.ndarray) -> np.ndarray:
         """Per-state steps bound of a uniformly improvable J, overrides applied.
@@ -724,21 +680,22 @@ class BoundsContext:
         The caller vouches for improvability. Raises
         :class:`HorizonCapExceeded` when the general method's search does.
         """
+        facts = self.facts
         if self.method == "positive-cost":
             steps = _positive_cost_steps(
-                self.problem, values, self.min_terminal_cost, self.min_step_cost
+                self.problem, values, facts.min_terminal_cost, facts.min_step_cost
             )
         elif self.method == "all-proper":
             steps = self.all_proper_steps.copy()
         else:
             m, _, _ = _search_horizon(
-                self.horizon_index, values, self.min_terminal_cost, self.horizon_cap
+                self.problem, values, facts.min_terminal_cost, self.horizon_cap
             )
             steps = np.zeros(self.problem.num_states)
             steps[self.problem.nonterminal] = _horizon_steps(
-                m, self.p_terminal, self.p_nonterminal
+                m, facts.p_terminal, facts.p_nonterminal
             )
-        steps[self.overridden] = 1.0
+        steps[facts.overridden] = 1.0
         return steps
 
     def row(
@@ -752,7 +709,7 @@ class BoundsContext:
 
         ``sign`` is -1 to report the floor of a reward-form file.
         """
-        counted = self.counted
+        counted = self.facts.counted
         j_under = float((sign * values[counted]).min()) if counted.any() else 0.0
         if not improvable:
             return TraceRow(j_under, None, None)
@@ -769,11 +726,12 @@ class BoundsContext:
         values = check_values(self.problem, values)
         stats = residual_stats(require_uniformly_improvable(self.problem, values), values)
         steps = self.steps(values)
-        if not self.counted.any():
+        counted = self.facts.counted
+        if not counted.any():
             label, factor = "override", 1.0
         else:
             label = "general-loose" if self.method == "general" else self.method
-            factor = float(steps[self.counted].max())
+            factor = float(steps[counted].max())
         return BoundsReport(
             residual=stats.residual,
             min_change=stats.min_change,
@@ -781,7 +739,7 @@ class BoundsContext:
             steps_bound=steps,
             per_state_bound=_certified(stats.residual, steps),
             global_bound=float(_certified(stats.residual, factor)),
-            overrides=tuple(int(i) for i in np.nonzero(self.overridden)[0]),
+            overrides=tuple(int(i) for i in np.nonzero(self.facts.overridden)[0]),
             method=label,
         )
 

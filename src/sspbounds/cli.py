@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from . import bounds as bounds_mod
 from . import gridworld as gw
 from .core import (
     SspProblem,
+    check_values,
     load_problem,
     problem_to_json_dict,
     save_problem,
@@ -29,14 +29,15 @@ from .core import (
 from .dp import (
     evaluate_policy,
     greedy_policy,
-    is_uniformly_improvable,
     policy_iteration,
     require_uniformly_improvable,
+    trace_csv,
     value_iteration,
 )
 from .errors import (
     HorizonCapExceeded,
     MaxItersExceeded,
+    NotUniformlyImprovable,
     ProblemFormatError,
     SolverPreconditionError,
     ValidationError,
@@ -61,7 +62,6 @@ class RunConfig:
     epsilon: float = 1e-6
     max_iters: int = 10_000
     bounds_method: str = "auto"
-    seed: int = 0
     output_format: str = "csv"
     output: str | None = None
     table: str | None = None
@@ -94,18 +94,11 @@ def _load_values_file(path: str, problem: SspProblem, convention: str) -> np.nda
         raise ProblemFormatError(f"value file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "values" not in data:
         raise ProblemFormatError("value file must be an object with a 'values' field")
-    values = np.asarray(data["values"], dtype=float)
-    if values.shape != (problem.num_states,):
-        raise ProblemFormatError(
-            f"value file must list {problem.num_states} entries, got {values.shape}"
-        )
-    if convention == "reward":
-        values = np.negative(values)
-    if values[problem.terminal] != 0.0:
-        raise ProblemFormatError("value at the terminal state must be 0")
-    if not np.isfinite(values).all():
-        raise ProblemFormatError("value file entries must be finite")
-    return values
+    try:
+        values = check_values(problem, data["values"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"malformed value file: {exc}") from exc
+    return np.negative(values) if convention == "reward" else values
 
 
 def _initial_values(config: RunConfig, problem: SspProblem, convention: str) -> np.ndarray:
@@ -156,7 +149,6 @@ def cmd_solve(config: RunConfig) -> int:
                 "epsilon": config.epsilon,
                 "max_iters": config.max_iters,
                 "bounds_method": context.method,
-                "seed": config.seed,
                 "convention": convention,
                 "truncated": truncated,
             },
@@ -190,7 +182,7 @@ def cmd_bench(config: RunConfig) -> int:
             gw.EXPECTED_TABLE1_VI if config.algorithm == "vi" else gw.EXPECTED_TABLE1_PI
         )
         mismatches = gw.compare_table1(rows, expected, config.algorithm)
-        _emit(gw.table1_csv(rows), config.output)
+        _emit(trace_csv(rows), config.output)
         compared = f"{len(rows)} rows"
     if mismatches:
         for line in mismatches:
@@ -212,10 +204,13 @@ def cmd_check(config: RunConfig) -> int:
     }
     if config.values:
         values = _load_values_file(config.values, problem, convention)
-        improvable = is_uniformly_improvable(problem, values)
-        payload["uniformly_improvable"] = improvable
-        if improvable:
+        # the search's own precondition backup gives the improvability verdict
+        try:
             certificate = bounds_mod.termination_horizon(problem, values)
+        except NotUniformlyImprovable:
+            payload["uniformly_improvable"] = False
+        else:
+            payload["uniformly_improvable"] = True
             payload["horizon_certificate"] = certificate.to_json_dict()
     _emit(json.dumps(payload, indent=2) + "\n", config.output)
     return EXIT_OK
@@ -254,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "positive-cost", "all-proper", "general"),
         default="auto",
     )
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--format", choices=("csv", "json"), default="csv")
     solve.add_argument("--output", default=None)
 
@@ -275,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if hasattr(args, "seed") else 0
-    env_seed = os.environ.get("SSP_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     return RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -287,7 +277,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         epsilon=getattr(args, "epsilon", 1e-6),
         max_iters=getattr(args, "max_iters", 10_000),
         bounds_method=getattr(args, "bounds", "auto"),
-        seed=seed,
         output_format=getattr(args, "format", "csv"),
         output=getattr(args, "output", None),
         table=getattr(args, "table", None),

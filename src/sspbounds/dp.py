@@ -88,29 +88,29 @@ class IterationTrace:
         """Render as CSV with columns iter, J_under, m, residual, error.
 
         The optional per-row columns come from the bounds machinery; absent
-        entries are left blank. Floats are printed with 6 significant digits.
+        columns are left blank (see :func:`trace_csv`).
         """
-
-        def fmt(x) -> str:
-            return "" if x is None else f"{x:.6g}"
 
         def col(seq, k):
             return None if seq is None else seq[k]
 
-        lines = ["iter,J_under,m,residual,error"]
-        for k, rec in enumerate(self.records):
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.iteration),
-                        fmt(col(j_under, k)),
-                        fmt(col(m, k)),
-                        fmt(rec.residual),
-                        fmt(col(error, k)),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return trace_csv(
+            (rec.iteration, col(j_under, k), col(m, k), rec.residual, col(error, k))
+            for k, rec in enumerate(self.records)
+        )
+
+
+def csv_cell(x: float | None) -> str:
+    """A CSV cell: blank for None, else 6 significant digits."""
+    return "" if x is None else f"{x:.6g}"
+
+
+def trace_csv(rows) -> str:
+    """Render (iter, J_under, m, residual, error) rows as a five-column CSV."""
+    lines = ["iter,J_under,m,residual,error"]
+    for iteration, *cells in rows:
+        lines.append(",".join([str(iteration)] + [csv_cell(x) for x in cells]))
+    return "\n".join(lines) + "\n"
 
 
 def action_values(problem: SspProblem, values: np.ndarray) -> np.ndarray:

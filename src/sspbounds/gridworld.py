@@ -25,12 +25,13 @@ values and steps bounds under policy iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BoundsContext, steps_bound_positive_costs
 from .core import SspProblem
-from .dp import evaluate_policy, policy_iteration, value_iteration
+from .dp import csv_cell, evaluate_policy, policy_iteration, value_iteration
 from .properness import uniform_random_policy
 
 # Comparison tolerances for the reproduction checks.
@@ -131,9 +132,11 @@ def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
     )
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """One iteration of Table 1: floor value, steps bound, residual, error bound."""
+class Table1Row(NamedTuple):
+    """One iteration of Table 1: floor value, steps bound, residual, error bound.
+
+    Its fields are the five columns of :func:`sspbounds.dp.trace_csv`.
+    """
 
     iteration: int
     j_under: float
@@ -312,20 +315,6 @@ def compare_table2(rows: list[Table2Row], label: str = "table2") -> list[str]:
     return problems
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.6g}"
-
-
-def table1_csv(rows: list[Table1Row]) -> str:
-    lines = ["iter,J_under,m,residual,error"]
-    for row in rows:
-        lines.append(
-            f"{row.iteration},{_fmt(row.j_under)},{_fmt(row.m)},"
-            f"{_fmt(row.residual)},{_fmt(row.error)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def table2_csv(rows: list[Table2Row]) -> str:
     n_states = len(rows[0].values) if rows else 0
     header = ["iter"]
@@ -335,6 +324,6 @@ def table2_csv(rows: list[Table2Row]) -> str:
     for row in rows:
         cells = [str(row.iteration)]
         for value, steps in zip(row.values, row.steps):
-            cells += [_fmt(value), _fmt(steps)]
+            cells += [csv_cell(value), csv_cell(steps)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

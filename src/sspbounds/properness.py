@@ -133,12 +133,13 @@ def all_policies_proper(problem: SspProblem) -> AllPoliciesProperReport:
     only if all policies are proper.
     """
     n, t = problem.num_states, problem.terminal
+    view = problem.transitions
     in_c = np.ones(n, dtype=bool)
     in_c[t] = False
     while True:
-        # mass escaping C per (state, action); an action is "safe" when none escapes
-        escape = np.einsum("suj,j->su", problem.prob, (~in_c).astype(float))
-        safe_action = escape == 0.0
+        # entries leaving C per (state, action); an action is "safe" when none does
+        leaving = np.bincount(view.row, ~in_c[view.to], minlength=n * problem.num_actions)
+        safe_action = leaving.reshape(n, problem.num_actions) == 0.0
         keep = in_c & safe_action.any(axis=1)
         if (keep == in_c).all():
             break

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from sspbounds import (
+    AllPoliciesProperReport,
     DeterministicPolicy,
     SspProblem,
     evaluate_policy,
@@ -191,3 +193,74 @@ def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=
         stage_values = new_values
         inevitable_by_stage.append(frozenset(int(i) for i in np.nonzero(inevitable)[0]))
         values_by_stage.append(report_values())
+
+
+def reference_all_policies_proper(problem: SspProblem) -> AllPoliciesProperReport:
+    """The all-policies-proper decision on the dense tensors.
+
+    Shrinks the candidate set C with one S x A x S contraction per round:
+    an action stays usable while no probability mass escapes C.
+    """
+    in_c = np.ones(problem.num_states, dtype=bool)
+    in_c[problem.terminal] = False
+    while True:
+        escape = np.einsum("suj,j->su", problem.prob, (~in_c).astype(float))
+        safe_action = escape == 0.0
+        keep = in_c & safe_action.any(axis=1)
+        if (keep == in_c).all():
+            break
+        in_c = keep
+    witness_states = tuple(int(i) for i in np.nonzero(in_c)[0])
+    return AllPoliciesProperReport(
+        all_proper=not witness_states,
+        witness_states=witness_states,
+        witness_actions={i: int(np.argmax(safe_action[i])) for i in witness_states},
+    )
+
+
+def reference_kernel_facts(problem: SspProblem) -> dict:
+    """The steps bounds' structural facts by their dense-mask definitions.
+
+    Keys: ``method`` (what ``auto`` resolves to), ``overridden``,
+    ``nonpositive`` (offending (state, action, target) triples),
+    ``min_terminal_cost`` and ``p_terminal`` (None without a transition
+    into the terminal), ``min_step_cost``, ``min_expected_step_cost`` and
+    ``p_nonterminal``.
+    """
+    prob, cost, t = problem.prob, problem.cost, problem.terminal
+    steps = prob > 0.0
+    steps[t, :, :] = False
+    steps[:, :, t] = False
+    into_terminal = prob[:, :, t] > 0.0
+    into_terminal[t, :] = False
+
+    if (cost[steps] > 0.0).all():
+        method = "positive-cost"
+    elif reference_all_policies_proper(problem).all_proper:
+        method = "all-proper"
+    else:
+        method = "general"
+
+    mass_to_nonterminal = prob.sum(axis=2) - prob[:, :, t]
+    overridden = (mass_to_nonterminal == 0.0).all(axis=1)
+    overridden[t] = False
+
+    masked_prob = np.where(steps, prob, 0.0)
+    mass = masked_prob.sum(axis=2)
+    expected = np.einsum("suj,suj->su", masked_prob, cost)
+    with_mass = mass > 0.0
+    has_exit = into_terminal.any()
+    return {
+        "method": method,
+        "overridden": overridden,
+        "nonpositive": [tuple(map(int, o)) for o in np.argwhere(steps & (cost <= 0.0))],
+        "min_terminal_cost": float(cost[:, :, t][into_terminal].min()) if has_exit else None,
+        "p_terminal": float(prob[:, :, t][into_terminal].min()) if has_exit else None,
+        "min_step_cost": float(cost[steps].min()) if steps.any() else math.inf,
+        "min_expected_step_cost": (
+            float((expected[with_mass] / mass[with_mass]).min())
+            if with_mass.any()
+            else math.inf
+        ),
+        "p_nonterminal": float(prob[steps].min()) if steps.any() else 1.0,
+    }

@@ -9,11 +9,15 @@ from helpers import (
     brute_force_optimal,
     random_all_proper_ssp,
     random_proper_mixed_ssp,
+    reference_all_policies_proper,
     reference_horizon,
+    reference_kernel_facts,
 )
 from sspbounds import (
+    BoundsContext,
     DeterministicPolicy,
     SspProblem,
+    all_policies_proper,
     bellman_backup,
     bellman_residual,
     compute_bounds_report,
@@ -31,8 +35,10 @@ from sspbounds import (
     steps_bound_positive_costs,
     termination_horizon,
     uniform_random_policy,
+    validate,
     value_iteration,
 )
+from sspbounds.bounds import _kernel_facts
 from sspbounds.errors import (
     HorizonCapExceeded,
     InfiniteStepsBound,
@@ -102,7 +108,32 @@ def free_delay_instance():
     return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
 
 
+def no_exit_instance():
+    """A state that can only loop on itself at cost 1: no move enters the terminal."""
+    prob = np.zeros((2, 1, 2))
+    prob[0, 0, 0] = 1.0
+    prob[1, 0, 1] = 1.0
+    cost = np.zeros_like(prob)
+    cost[0, 0, 0] = 1.0
+    return SspProblem(num_states=2, num_actions=1, terminal=1, prob=prob, cost=cost)
+
+
 class TestOverrides:
+    def test_tiny_step_prevents_the_override(self):
+        # The row (1e-17 back to state 0, 1.0 to the terminal) sums to 1.0 in
+        # floating point, so the instance validates; state 0 can still step
+        # back to itself, so it does not terminate in one step.
+        prob = np.zeros((2, 1, 2))
+        prob[0, 0, 0] = 1e-17
+        prob[0, 0, 1] = 1.0
+        prob[1, 0, 1] = 1.0
+        cost = np.where(prob > 0.0, 1.0, 0.0)
+        cost[1] = 0.0
+        problem = SspProblem(num_states=2, num_actions=1, terminal=1, prob=prob, cost=cost)
+        validate(problem)
+        assert not immediate_termination_states(problem).any()
+        assert compute_bounds_report(problem, np.array([1.0, 0.0])).overrides == ()
+
     def test_gridworld_exit_cells(self, grid):
         mask = immediate_termination_states(grid)
         assert set(np.nonzero(mask)[0]) == {3, 6}
@@ -450,6 +481,68 @@ class TestHorizonOracle:
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         with pytest.raises(IndexError):
             certificate.inevitable_at(certificate.last_stage + 1)
+
+
+def kernel_oracle_cases():
+    """(name, problem) pairs the view-based structural facts are checked on."""
+    from sspbounds import build_gridworld, stay_or_go_instance
+
+    cases = [
+        ("grid", build_gridworld()),
+        ("stay-or-go", stay_or_go_instance()),
+        ("free-delay", free_delay_instance()),
+        ("lazy-chain", lazy_chain_instance()[0]),
+        ("delay-or-exit", delay_or_exit_instance()),
+        ("no-exit", no_exit_instance()),
+    ]
+    rng = np.random.default_rng(101)
+    for k in range(20):
+        cases.append((f"mixed-{k}", random_proper_mixed_ssp(rng)))
+        cases.append((f"all-proper-{k}", random_all_proper_ssp(rng)))
+    return cases
+
+
+class TestKernelFactsOracle:
+    """Facts read off the nonzero-transition view match their dense definitions."""
+
+    def test_method_and_ingredients(self):
+        for name, problem in kernel_oracle_cases():
+            expected = reference_kernel_facts(problem)
+            facts = _kernel_facts(problem)
+            assert resolve_method(problem) == expected["method"], name
+            overridden = immediate_termination_states(problem)
+            assert np.array_equal(overridden, expected["overridden"]), name
+            counted = ~expected["overridden"]
+            counted[problem.terminal] = False
+            assert np.array_equal(facts.counted, counted), name
+            for key in ("min_terminal_cost", "p_terminal", "min_step_cost", "p_nonterminal"):
+                assert getattr(facts, key) == expected[key], (name, key)
+            assert facts.min_expected_step_cost == pytest.approx(
+                expected["min_expected_step_cost"], rel=1e-12, abs=0.0
+            ), name
+
+    def test_same_errors(self):
+        for name, problem in kernel_oracle_cases():
+            expected = reference_kernel_facts(problem)
+            no_exit = expected["min_terminal_cost"] is None
+            if expected["nonpositive"]:
+                with pytest.raises(NonpositiveCost) as info:
+                    BoundsContext.for_problem(problem, "positive-cost")
+                assert list(info.value.triples) == expected["nonpositive"], name
+            elif no_exit:
+                with pytest.raises(NoTerminalTransition):
+                    BoundsContext.for_problem(problem, "positive-cost")
+            else:
+                BoundsContext.for_problem(problem, "positive-cost")
+            if no_exit:
+                with pytest.raises(NoTerminalTransition):
+                    BoundsContext.for_problem(problem, "general")
+            else:
+                BoundsContext.for_problem(problem, "general")
+
+    def test_all_policies_proper_verdict_and_witness(self):
+        for name, problem in kernel_oracle_cases():
+            assert all_policies_proper(problem) == reference_all_policies_proper(problem), name
 
 
 class TestLooseBoundFromHorizon:

@@ -27,6 +27,8 @@ from sspbounds import (
 from sspbounds.cli import main
 from sspbounds.errors import HorizonCapExceeded
 import sspbounds.bounds
+import sspbounds.core
+import sspbounds.dp
 import sspbounds.gridworld as gw
 
 
@@ -142,23 +144,26 @@ class TestSolve:
         assert code == 4
         assert json.loads(captured.err.strip())["error"] == "HorizonCapExceeded"
 
-    def test_env_seed_overrides_flag(self, grid_reward_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSP_SEED", "777")
-        out = tmp_path / "seeded.json"
-        code = main(
-            [
-                "solve", "--input", grid_reward_file, "--format", "json",
-                "--seed", "1", "--output", str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 777
-
     def test_nonpositive_epsilon_exits_two(self, grid_reward_file, capsys):
         code = main(["solve", "--input", grid_reward_file, "--epsilon", "-1"])
         captured = capsys.readouterr()
         assert code == 2
         assert "epsilon" in json.loads(captured.err.strip())["message"]
+
+
+class TestValuesFile:
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize(
+        "values", [["a", 0], [10**400, 0], [1.0], [2.0, 1.0], [None, 0], {"a": 1}, "2,0"]
+    )
+    def test_malformed_values_exit_two(self, stay_go_file, tmp_path, capsys, command, values):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"values": values}), encoding="utf-8")
+        flag = "--values" if command == "check" else "--init"
+        code = main([command, "--input", stay_go_file, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.err.strip())["error"] == "ProblemFormatError"
 
 
 def free_delay_file(tmp_path):
@@ -295,24 +300,25 @@ class TestTraceBounds:
         assert payload["bounds"]["method"] == "all-proper"
         assert len(calls) == 1
 
-    def test_one_transition_index_per_general_run(self, tmp_path, monkeypatch):
+    def test_one_transition_view_per_general_run(self, tmp_path, monkeypatch):
         problem = build_gridworld()
         path = tmp_path / "grid.json"
         save_problem(problem, path)
-        calls = []
-        original = sspbounds.bounds._transition_index
+        views = []
+        original = sspbounds.core._nonzero_transitions
 
         def counted(*args):
-            calls.append(args)
-            return original(*args)
+            views.append(original(*args))
+            return views[-1]
 
-        monkeypatch.setattr(sspbounds.bounds, "_transition_index", counted)
+        monkeypatch.setattr(sspbounds.core, "_nonzero_transitions", counted)
         payload = solve_json(
             path, ["--algorithm", "vi", "--bounds", "general"], tmp_path
         )
         assert len(payload["trace"]) > 2
         assert payload["bounds"]["method"] == "general-loose"
-        assert len(calls) == 1
+        assert len(views) == 1
+        assert "into" in vars(views[0])  # the search's reverse index, cached on the view
 
     def test_vacuous_horizon_bound_is_inf(self, tmp_path):
         spec = GridSpec(
@@ -421,6 +427,27 @@ class TestCheck:
         assert certificate["m"] > 0
         # one entry per state, whatever m
         assert len(certificate["joined_at"]) == len(certificate["values"]) == 12
+
+    def test_one_backup_gives_verdict_and_certificate(
+        self, grid_reward_file, grid, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        original = sspbounds.dp.bellman_backup
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sspbounds.dp, "bellman_backup", counted)
+        uniform = evaluate_policy(grid, uniform_random_policy(grid))
+        for values, improvable in ((uniform, True), (np.zeros(grid.num_states), False)):
+            calls.clear()
+            path = values_file(tmp_path, "j.json", (-values).tolist())
+            assert main(["check", "--input", grid_reward_file, "--values", path]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["uniformly_improvable"] is improvable
+            assert ("horizon_certificate" in payload) is improvable
+            assert len(calls) == 1
 
     def test_check_rejects_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

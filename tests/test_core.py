@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_all_proper_ssp, random_proper_mixed_ssp
+from helpers import random_all_proper_ssp, random_discounted, random_proper_mixed_ssp
 from sspbounds import (
     DeterministicPolicy,
     SspProblem,
@@ -264,6 +264,17 @@ class TestJsonFiles:
         # loader negates reward-form costs back into cost form
         assert np.array_equal(loaded.cost, grid.cost)
 
+    def test_round_trip_across_writer_blocks(self):
+        rng = np.random.default_rng(8)
+        problem = from_discounted(*random_discounted(rng, num_states=40, num_actions=11), 0.9)
+        data = problem_to_json_dict(problem, convention="reward")
+        triples = [(r["from"], r["action"], r["to"]) for r in data["transitions"]]
+        assert len(triples) == 40 * 11 * 41 + 11  # more than one block of 16384
+        assert triples == sorted(triples)
+        loaded, _ = problem_from_json_dict(data)
+        assert np.array_equal(loaded.prob, problem.prob)
+        assert np.array_equal(loaded.cost, problem.cost)
+
     def test_duplicate_record_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)
         data["transitions"].append(dict(data["transitions"][0]))
@@ -285,6 +296,26 @@ class TestJsonFiles:
     def test_out_of_range_record_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)
         data["transitions"][0]["to"] = 9
+        with pytest.raises(ProblemFormatError):
+            problem_from_json_dict(data)
+
+    def test_nan_probability_rejected(self, stay_go):
+        data = problem_to_json_dict(stay_go)
+        data["transitions"][1]["prob"] = float("nan")  # the stay self-loop
+        with pytest.raises(ProbabilityOutOfRange) as info:
+            problem_from_json_dict(data)
+        assert (info.value.state, info.value.action, info.value.target) == (0, 1, 0)
+
+    def test_huge_integer_probability_rejected(self, stay_go):
+        data = problem_to_json_dict(stay_go)
+        data["transitions"][1]["prob"] = 10**400
+        with pytest.raises(ProblemFormatError):
+            problem_from_json_dict(data)
+
+    @pytest.mark.parametrize("transitions", [5, None, "records"])
+    def test_non_list_transitions_rejected(self, stay_go, transitions):
+        data = problem_to_json_dict(stay_go)
+        data["transitions"] = transitions
         with pytest.raises(ProblemFormatError):
             problem_from_json_dict(data)
 

@@ -23,9 +23,9 @@ from sspbounds.gridworld import (
     compare_table2,
     run_table1,
     run_table2,
-    table1_csv,
     table2_csv,
 )
+from sspbounds.dp import trace_csv
 
 GOLDEN = Path(__file__).parent / "data" / "gridworld.json"
 
@@ -117,7 +117,7 @@ class TestTable1:
         assert "row 2 J_under" in problems[0]
 
     def test_csv_layout(self, grid):
-        text = table1_csv(run_table1(grid, "pi"))
+        text = trace_csv(run_table1(grid, "pi"))
         lines = text.strip().split("\n")
         assert lines[0] == "iter,J_under,m,residual,error"
         assert len(lines) == 6
