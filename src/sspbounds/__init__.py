@@ -11,10 +11,8 @@ from .bounds import (
     HorizonCertificate,
     MonteCarloSteps,
     compute_bounds_report,
-    global_suboptimality,
     immediate_termination_states,
     monte_carlo_steps,
-    per_state_suboptimality,
     resolve_method,
     sandwich_bounds,
     steps_bound_all_proper,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -320,38 +320,6 @@ def sandwich_bounds(
     return lower, upper
 
 
-def per_state_suboptimality(
-    problem: SspProblem, values: np.ndarray, steps_bound: np.ndarray
-) -> np.ndarray:
-    """Per-state bound ||TJ - J|| * N(i) on |J*(i) - J(i)|.
-
-    Requires a uniformly improvable J; the same numbers then also bound the
-    suboptimality of the greedy policy, whose cost-to-go is no worse than J.
-    Infinite N entries yield infinite (vacuous) bounds.
-    """
-    values = check_values(problem, values)
-    backed_up = require_uniformly_improvable(problem, values)
-    steps_bound = np.asarray(steps_bound, dtype=float)
-    return residual_stats(backed_up, values).residual * steps_bound
-
-
-def global_suboptimality(
-    problem: SspProblem, values: np.ndarray, steps_bound: np.ndarray
-) -> float:
-    """Bound ||TJ - J|| * max_i N(i) on the max-norm distance to optimal.
-
-    The max skips overridden states (see
-    :func:`immediate_termination_states`); when every nonterminal state is
-    overridden the factor is 1.
-    """
-    values = check_values(problem, values)
-    backed_up = require_uniformly_improvable(problem, values)
-    steps_bound = np.asarray(steps_bound, dtype=float)
-    mask = _kernel_facts(problem).counted
-    factor = float(steps_bound[mask].max()) if mask.any() else 1.0
-    return residual_stats(backed_up, values).residual * factor
-
-
 def steps_bound_positive_costs(
     problem: SspProblem, values: np.ndarray, refine_step_cost: bool = False
 ) -> np.ndarray:
@@ -411,17 +379,9 @@ def steps_bound_all_proper(
         report = all_policies_proper(problem)
     if not report.all_proper:
         raise NotAllPoliciesProper(report.witness_states, report.witness_actions)
-    t = problem.terminal
-    companion_cost = np.full(problem.cost.shape, -1.0)
-    companion_cost[:, :, t] = 0.0
-    companion_cost[t, :, :] = 0.0
-    companion = SspProblem(
-        num_states=problem.num_states,
-        num_actions=problem.num_actions,
-        terminal=t,
-        prob=problem.prob,
-        cost=companion_cost,
-    )
+    view = problem.transitions
+    steps_cost = np.where(view.to != problem.terminal, -1.0, 0.0)
+    companion = replace(problem, transitions=replace(view, cost=steps_cost))
     _, worst_values, _ = policy_iteration(companion, uniform_random_policy(companion))
     steps = np.zeros(problem.num_states)
     nt = problem.nonterminal
@@ -482,10 +442,9 @@ def _search_horizon(
         max_stages = DEFAULT_HORIZON_CAP
     num_states, num_actions = problem.num_states, problem.num_actions
     view = problem.transitions
-    into_ptr, into_rows = view.into
     joined_at = np.full(num_states, -1, dtype=np.int64)
     joined_at[problem.terminal] = 0
-    frontier = [problem.terminal]
+    frontier = np.array([problem.terminal])
     risky = np.zeros((num_states, num_actions), dtype=bool)
     risky_rows = risky.reshape(-1)
     stage_values = np.zeros(num_states)
@@ -502,9 +461,9 @@ def _search_horizon(
         k += 1
         # Actions are usable at stage k only if they carry no mass into the
         # stage-(k-1) inevitable set; only the rows entering the states that
-        # joined last can newly lose that.
-        for j in frontier:
-            risky_rows[into_rows[into_ptr[j] : into_ptr[j + 1]]] = True
+        # joined last can newly lose that. Most stages have no such state.
+        if frontier.size:
+            risky_rows[view.row[view.entering(frontier)]] = True
         can_avoid = ~risky.all(axis=1)
         joining = outside & ~can_avoid
         staying = outside & can_avoid
@@ -727,11 +686,7 @@ class BoundsContext:
         stats = residual_stats(require_uniformly_improvable(self.problem, values), values)
         steps = self.steps(values)
         counted = self.facts.counted
-        if not counted.any():
-            label, factor = "override", 1.0
-        else:
-            label = "general-loose" if self.method == "general" else self.method
-            factor = float(steps[counted].max())
+        factor = float(steps[counted].max()) if counted.any() else 1.0
         return BoundsReport(
             residual=stats.residual,
             min_change=stats.min_change,
@@ -740,7 +695,7 @@ class BoundsContext:
             per_state_bound=_certified(stats.residual, steps),
             global_bound=float(_certified(stats.residual, factor)),
             overrides=tuple(int(i) for i in np.nonzero(self.facts.overridden)[0]),
-            method=label,
+            method=self.method if counted.any() else "override",
         )
 
     def certify(

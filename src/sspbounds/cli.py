@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +69,8 @@ class RunConfig:
     values: str | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN too
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -246,10 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int, default=10_000)
     solve.add_argument(
         "--bounds",
+        dest="bounds_method",
         choices=("auto", "positive-cost", "all-proper", "general"),
         default="auto",
     )
-    solve.add_argument("--format", choices=("csv", "json"), default="csv")
+    solve.add_argument(
+        "--format", dest="output_format", choices=("csv", "json"), default="csv"
+    )
     solve.add_argument("--output", default=None)
 
     bench = sub.add_parser("bench", help="reproduce the gridworld tables")
@@ -268,27 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        algorithm=getattr(args, "algorithm", "pi"),
-        init=getattr(args, "init", "uniform-random"),
-        epsilon=getattr(args, "epsilon", 1e-6),
-        max_iters=getattr(args, "max_iters", 10_000),
-        bounds_method=getattr(args, "bounds", "auto"),
-        output_format=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-        table=getattr(args, "table", None),
-        values=getattr(args, "values", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        # each subcommand's options are named after RunConfig's fields
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         _error_line(exc)
         return EXIT_VALIDATION

@@ -8,7 +8,7 @@ reporting, so there is a single sign convention everywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -36,58 +36,15 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SspProblem:
-    """Shortest path MDP with one absorbing, zero-cost terminal state.
-
-    ``prob[i, u, j]`` is the probability of landing in state j after taking
-    action u in state i, and ``cost[i, u, j]`` the cost charged for that
-    transition. Instances are immutable after construction and safe to share
-    across threads. Construction checks shapes only; call :func:`validate`
-    to check the model invariants.
-    """
-
-    num_states: int
-    num_actions: int
-    terminal: int
-    prob: np.ndarray
-    cost: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.num_states, self.num_actions, self.num_states)
-        prob = np.asarray(self.prob, dtype=float)
-        cost = np.asarray(self.cost, dtype=float)
-        if self.num_states < 1 or self.num_actions < 1:
-            raise ValueError("need at least one state and one action")
-        if prob.shape != shape or cost.shape != shape:
-            raise ValueError(
-                f"prob/cost must have shape {shape}, got {prob.shape} and {cost.shape}"
-            )
-        if not 0 <= self.terminal < self.num_states:
-            raise ValueError(f"terminal index {self.terminal} out of range")
-        object.__setattr__(self, "prob", _frozen(prob))
-        object.__setattr__(self, "cost", _frozen(cost))
-
-    @property
-    def nonterminal(self) -> np.ndarray:
-        """Indices of all nonterminal states, in increasing order."""
-        return np.array(
-            [i for i in range(self.num_states) if i != self.terminal], dtype=int
-        )
-
-    @cached_property
-    def transitions(self) -> Transitions:
-        """The positive-probability transitions, built once per instance."""
-        return _nonzero_transitions(self)
-
-
-@dataclass(frozen=True)
 class Transitions:
-    """Read-only view of an instance's positive-probability transitions.
+    """The stored transition kernel of an instance: its nonzero transitions.
 
     Entries are sorted by (state, action) row and then by target, the
-    order of ``np.nonzero`` and of CSR storage: entry e moves row
-    ``row[e]`` = state * num_actions + action to state ``to[e]`` with
-    probability ``prob[e]`` at cost ``cost[e]``.
+    order of CSR storage: entry e moves row ``row[e]`` = state *
+    num_actions + action to state ``to[e]`` with probability ``prob[e]``
+    at cost ``cost[e]``. Omitted transitions have probability 0. A valid
+    instance stores exactly its positive-probability transitions; an
+    invalid one also keeps every entry :func:`validate` objects to.
     """
 
     num_states: int
@@ -96,30 +53,107 @@ class Transitions:
     prob: np.ndarray
     cost: np.ndarray
 
+    def __post_init__(self):
+        for name in ("row", "to", "prob", "cost"):
+            dtype = np.int64 if name in ("row", "to") else float
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    @classmethod
+    def from_dense(cls, num_states: int, num_actions: int, prob, cost) -> Transitions:
+        """Read the entries worth storing (see :func:`_stored`) off dense (S, A, S) arrays."""
+        shape = (num_states, num_actions, num_states)
+        prob = np.asarray(prob, dtype=float)
+        cost = np.asarray(cost, dtype=float)
+        if prob.shape != shape or cost.shape != shape:
+            raise ValueError(
+                f"prob/cost must have shape {shape}, got {prob.shape} and {cost.shape}"
+            )
+        # flat index (state * num_actions + action) * num_states + target
+        flat = np.flatnonzero(_stored(prob, cost))
+        row, to = np.divmod(flat, num_states)
+        return cls(num_states, row, to, prob.ravel()[flat], cost.ravel()[flat])
+
+    @classmethod
+    def from_entries(cls, num_states: int, row, to, prob, cost) -> Transitions:
+        """The entries worth storing (see :func:`_stored`), sorted into CSR order."""
+        row, to, prob, cost = map(np.asarray, (row, to, prob, cost))
+        keep = np.flatnonzero(_stored(prob, cost))
+        order = keep[np.lexsort((to[keep], row[keep]))]
+        return cls(num_states, row[order], to[order], prob[order], cost[order])
+
     @cached_property
     def into(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reverse index ``(into_ptr, into_rows)``, built on first use.
+        """Reverse index ``(into_ptr, into_entries)``, built on first use.
 
-        The rows with an entry into state j are
-        ``into_rows[into_ptr[j] : into_ptr[j + 1]]``.
+        The entries into state j are ``into_entries[into_ptr[j] : into_ptr[j + 1]]``,
+        in entry order.
         """
         into_ptr = np.zeros(self.num_states + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.to, minlength=self.num_states), out=into_ptr[1:])
-        into_rows = self.row[np.argsort(self.to, kind="stable")]
-        return _frozen(into_ptr, np.int64), _frozen(into_rows, np.int64)
+        into_entries = np.argsort(self.to, kind="stable")
+        return _frozen(into_ptr, np.int64), _frozen(into_entries, np.int64)
+
+    def entering(self, states: np.ndarray) -> np.ndarray:
+        """Indices of the entries into ``states``, grouped by target state in that order."""
+        into_ptr, into_entries = self.into
+        starts = into_ptr[states]
+        lengths = into_ptr[states + 1] - starts
+        # one arange over the concatenated ranges, shifted to each range's start
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return into_entries[shift + np.arange(shift.size)]
 
 
-def _nonzero_transitions(problem: SspProblem) -> Transitions:
-    # flat index (state * num_actions + action) * num_states + target
-    flat = np.flatnonzero(problem.prob > 0.0)
-    row, to = np.divmod(flat, problem.num_states)
-    return Transitions(
-        num_states=problem.num_states,
-        row=_frozen(row, np.int64),
-        to=_frozen(to, np.int64),
-        prob=_frozen(problem.prob.ravel()[flat]),
-        cost=_frozen(problem.cost.ravel()[flat]),
-    )
+def _stored(prob: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Entries the kernel keeps: nonzero probabilities (NaN too) and non-finite costs."""
+    return (prob != 0.0) | ~np.isfinite(cost)
+
+
+@dataclass(frozen=True, init=False)
+class SspProblem:
+    """Shortest path MDP with one absorbing, zero-cost terminal state.
+
+    Its kernel is ``transitions`` (see :class:`Transitions`), given to the
+    constructor as such or as dense arrays, read once and not kept:
+    ``prob[i, u, j]`` is the probability of landing in state j after taking
+    action u in state i, and ``cost[i, u, j]`` the cost charged for it.
+    Instances are immutable and safe to share across threads. Construction
+    checks shapes only; call :func:`validate` to check the model invariants.
+    """
+
+    num_states: int
+    num_actions: int
+    terminal: int
+    transitions: Transitions
+
+    def __init__(
+        self,
+        num_states: int,
+        num_actions: int,
+        terminal: int,
+        prob=None,
+        cost=None,
+        *,
+        transitions: Transitions | None = None,
+    ):
+        if num_states < 1 or num_actions < 1:
+            raise ValueError("need at least one state and one action")
+        if transitions is None:
+            transitions = Transitions.from_dense(num_states, num_actions, prob, cost)
+        elif prob is not None or cost is not None:
+            raise ValueError("give either prob/cost or transitions, not both")
+        elif transitions.num_states != num_states:
+            raise ValueError("transitions are over a different number of states")
+        if not 0 <= terminal < num_states:
+            raise ValueError(f"terminal index {terminal} out of range")
+        object.__setattr__(self, "num_states", num_states)
+        object.__setattr__(self, "num_actions", num_actions)
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "transitions", transitions)
+
+    @property
+    def nonterminal(self) -> np.ndarray:
+        """Indices of all nonterminal states, in increasing order."""
+        return np.delete(np.arange(self.num_states), self.terminal)
 
 
 @dataclass(frozen=True)
@@ -193,30 +227,35 @@ def validate(problem: SspProblem) -> None:
     sums to 1 within 1e-12; the terminal state is absorbing and zero-cost;
     all costs are finite.
     """
-    prob, cost, t = problem.prob, problem.cost, problem.terminal
+    view, t, num_actions = problem.transitions, problem.terminal, problem.num_actions
+
+    def entry(e) -> tuple[int, int, int]:
+        return (*divmod(int(view.row[e]), num_actions), int(view.to[e]))
 
     # written as a negated range test so that NaN fails it too
-    bad = np.argwhere(~((prob >= 0.0) & (prob <= 1.0 + PROB_TOL)))
+    bad = np.flatnonzero(~((view.prob >= 0.0) & (view.prob <= 1.0 + PROB_TOL)))
     if bad.size:
-        i, u, j = map(int, bad[0])
-        raise ProbabilityOutOfRange(i, u, j, float(prob[i, u, j]))
+        raise ProbabilityOutOfRange(*entry(bad[0]), float(view.prob[bad[0]]))
 
-    row_sums = prob.sum(axis=2)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL)
+    row_sums = np.bincount(view.row, view.prob, minlength=problem.num_states * num_actions)
+    bad = np.flatnonzero(np.abs(row_sums - 1.0) > PROB_TOL)
     if bad.size:
-        i, u = map(int, bad[0])
-        raise RowSumViolation(i, u, float(row_sums[i, u]))
+        raise RowSumViolation(*divmod(int(bad[0]), num_actions), float(row_sums[bad[0]]))
 
-    for u in range(problem.num_actions):
-        if abs(prob[t, u, t] - 1.0) > PROB_TOL:
-            raise TerminalNotAbsorbing(t, u, float(prob[t, u, t]))
-        if cost[t, u, t] != 0.0:
-            raise TerminalCostNonzero(t, u, float(cost[t, u, t]))
+    # the terminal's self-loop per action; an omitted one has probability and cost 0
+    self_loops = (view.row // num_actions == t) & (view.to == t)
+    actions = view.row[self_loops] % num_actions
+    loop_prob, loop_cost = np.zeros(num_actions), np.zeros(num_actions)
+    loop_prob[actions], loop_cost[actions] = view.prob[self_loops], view.cost[self_loops]
+    for u in range(num_actions):
+        if abs(loop_prob[u] - 1.0) > PROB_TOL:
+            raise TerminalNotAbsorbing(t, u, float(loop_prob[u]))
+        if loop_cost[u] != 0.0:
+            raise TerminalCostNonzero(t, u, float(loop_cost[u]))
 
-    bad = np.argwhere(~np.isfinite(cost))
+    bad = np.flatnonzero(~np.isfinite(view.cost))
     if bad.size:
-        i, u, j = map(int, bad[0])
-        raise NonfiniteCost(i, u, j, float(cost[i, u, j]))
+        raise NonfiniteCost(*entry(bad[0]), float(view.cost[bad[0]]))
 
 
 def expected_cost(problem: SspProblem, state: int, action: int) -> float:
@@ -225,7 +264,9 @@ def expected_cost(problem: SspProblem, state: int, action: int) -> float:
         raise IndexError(f"state {state} out of range")
     if not 0 <= action < problem.num_actions:
         raise IndexError(f"action {action} out of range")
-    return float(problem.prob[state, action] @ problem.cost[state, action])
+    view, row = problem.transitions, state * problem.num_actions + action
+    lo, hi = np.searchsorted(view.row, [row, row + 1])
+    return float(view.prob[lo:hi] @ view.cost[lo:hi])
 
 
 def from_discounted(transitions, costs, beta: float) -> SspProblem:
@@ -252,15 +293,19 @@ def from_discounted(transitions, costs, beta: float) -> SspProblem:
         i, u = map(int, bad[0])
         raise RowSumViolation(i, u, float(row_sums[i, u]))
 
-    prob = np.zeros((n + 1, num_actions, n + 1))
-    cost = np.zeros_like(prob)
-    prob[:n, :, :n] = beta * transitions
-    prob[:n, :, n] = 1.0 - beta
-    cost[:n, :, :n] = costs
-    prob[n, :, n] = 1.0
-    return SspProblem(
-        num_states=n + 1, num_actions=num_actions, terminal=n, prob=prob, cost=cost
+    # the input's entries, index (state * num_actions + action) * n + target; then
+    # every pair exits with 1 - beta, and the new terminal (rows n*A..) loops
+    row, to = np.divmod(np.arange(transitions.size), n)
+    exits = np.arange((n + 1) * num_actions)
+    exit_prob = np.where(exits < n * num_actions, 1.0 - beta, 1.0)
+    view = Transitions.from_entries(
+        n + 1,
+        np.concatenate((row, exits)),
+        np.concatenate((to, np.full(exits.size, n))),
+        np.concatenate(((beta * transitions).ravel(), exit_prob)),
+        np.concatenate((costs.ravel(), np.zeros(exits.size))),
     )
+    return SspProblem(n + 1, num_actions, terminal=n, transitions=view)
 
 
 def negate_costs(problem: SspProblem) -> SspProblem:
@@ -269,32 +314,36 @@ def negate_costs(problem: SspProblem) -> SspProblem:
     Bridges reward-maximization inputs into the cost-minimization core.
     Applying it twice returns a bit-identical instance.
     """
-    return SspProblem(
-        num_states=problem.num_states,
-        num_actions=problem.num_actions,
-        terminal=problem.terminal,
-        prob=problem.prob,
-        cost=np.negative(problem.cost),
-    )
+    view = problem.transitions
+    return replace(problem, transitions=replace(view, cost=np.negative(view.cost)))
+
+
+def policy_entry_probs(problem: SspProblem, policy: Policy) -> np.ndarray:
+    """Each stored entry's probability times the policy's weight of its action."""
+    check_policy(problem, policy)
+    if isinstance(policy, DeterministicPolicy):
+        weights = np.zeros((problem.num_states, problem.num_actions))
+        weights[np.arange(problem.num_states), policy.actions] = 1.0
+    else:
+        weights = policy.weights
+    view = problem.transitions
+    return weights.ravel()[view.row] * view.prob
 
 
 def policy_transition_matrix(problem: SspProblem, policy: Policy) -> np.ndarray:
     """State-to-state transition kernel of the chain induced by a policy."""
-    check_policy(problem, policy)
-    if isinstance(policy, DeterministicPolicy):
-        return problem.prob[np.arange(problem.num_states), policy.actions]
-    return np.einsum("su,suj->sj", policy.weights, problem.prob)
+    n, view = problem.num_states, problem.transitions
+    cells = view.row // problem.num_actions * n + view.to
+    weights = policy_entry_probs(problem, policy)
+    return np.bincount(cells, weights, minlength=n * n).reshape(n, n)
 
 
 def policy_cost_vector(problem: SspProblem, policy: Policy) -> np.ndarray:
     """Expected one-step cost per state under a policy."""
-    check_policy(problem, policy)
-    if isinstance(policy, DeterministicPolicy):
-        idx = np.arange(problem.num_states)
-        rows_p = problem.prob[idx, policy.actions]
-        rows_g = problem.cost[idx, policy.actions]
-        return np.einsum("sj,sj->s", rows_p, rows_g)
-    return np.einsum("su,suj,suj->s", policy.weights, problem.prob, problem.cost)
+    view = problem.transitions
+    states = view.row // problem.num_actions
+    weighted_costs = policy_entry_probs(problem, policy) * view.cost
+    return np.bincount(states, weighted_costs, minlength=problem.num_states)
 
 
 def stay_or_go_instance() -> SspProblem:
@@ -306,14 +355,9 @@ def stay_or_go_instance() -> SspProblem:
     Bellman operator is not a contraction here, yet the optimal cost-to-go
     of state 0 is 2.
     """
-    prob = np.zeros((2, 2, 2))
-    cost = np.zeros((2, 2, 2))
-    prob[0, 0, 1] = 1.0
-    cost[0, 0, 1] = 2.0
-    prob[0, 1, 0] = 1.0
-    cost[0, 1, 0] = 1.0
-    prob[1, :, 1] = 1.0
-    return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
+    # rows (state, action): (0, go), (0, stay), then the terminal's two self-loops
+    view = Transitions(2, row=[0, 1, 2, 3], to=[1, 0, 1, 1], prob=[1.0] * 4, cost=[2, 1, 0, 0])
+    return SspProblem(num_states=2, num_actions=2, terminal=1, transitions=view)
 
 
 # --- JSON instance files ---------------------------------------------------
@@ -387,36 +431,57 @@ def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
     if not isinstance(data["transitions"], list):
         raise ProblemFormatError("transitions must be a list of records")
 
-    prob = np.zeros((num_states, num_actions, num_states))
-    cost = np.zeros_like(prob)
-    seen = set()
-    for rec in data["transitions"]:
-        try:
-            i, u, j = int(rec["from"]), int(rec["action"]), int(rec["to"])
-            p, g = float(rec["prob"]), float(rec["cost"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise ProblemFormatError(f"malformed transition record {rec!r}") from exc
-        if not (0 <= i < num_states and 0 <= j < num_states and 0 <= u < num_actions):
-            raise ProblemFormatError(f"transition record {rec!r} is out of range")
-        if (i, u, j) in seen:
-            raise ProblemFormatError(
-                f"duplicate transition record for (from={i}, action={u}, to={j})"
-            )
-        seen.add((i, u, j))
-        prob[i, u, j] = p
-        cost[i, u, j] = g
-
-    problem = SspProblem(
-        num_states=num_states,
-        num_actions=num_actions,
-        terminal=terminal,
-        prob=prob,
-        cost=cost,
-    )
+    row, to, prob, cost = _read_records(data["transitions"], num_states, num_actions)
     if convention == "reward":
-        problem = negate_costs(problem)
+        cost = np.negative(cost)
+    view = Transitions.from_entries(num_states, row, to, prob, cost)
+    problem = SspProblem(num_states, num_actions, terminal, transitions=view)
     validate(problem)
     return problem, convention
+
+
+def _read_records(records: list, num_states: int, num_actions: int) -> tuple[np.ndarray, ...]:
+    """The (row, to, prob, cost) columns of the transition records, in file order.
+
+    Raises :class:`ProblemFormatError` at the first malformed, out-of-range
+    or duplicate record, as a record-by-record read would.
+    """
+    fields, error = [], None  # five per record, flattened
+    for rec in records:
+        try:
+            fields.extend(_parse_record(rec, num_states, num_actions))
+        except ProblemFormatError as exc:
+            error = exc  # raised after any duplicate among the records before it
+            break
+    # exact: record indices are range-checked, far below 2**53
+    columns = np.fromiter(fields, dtype=float, count=len(fields)).reshape(-1, 5).T
+    del fields  # the columns hold everything; free the list before sorting
+    frm, act, to = columns[:3].astype(np.int64)
+    row = frm * num_actions + act
+    # stable, so a run of equal (row, to) keys lists its records in file order
+    order = np.lexsort((to, row))
+    repeats = (np.diff(row[order]) == 0) & (np.diff(to[order]) == 0)
+    if repeats.any():
+        first = order[1:][repeats].min()
+        i, u = divmod(int(row[first]), num_actions)
+        raise ProblemFormatError(
+            f"duplicate transition record for (from={i}, action={u}, to={int(to[first])})"
+        )
+    if error is not None:
+        raise error
+    return row, to, columns[3], columns[4]
+
+
+def _parse_record(rec, num_states: int, num_actions: int) -> tuple:
+    """One transition record as (from, action, to, prob, cost), range-checked."""
+    try:
+        i, u, j = int(rec["from"]), int(rec["action"]), int(rec["to"])
+        p, g = float(rec["prob"]), float(rec["cost"])
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"malformed transition record {rec!r}") from exc
+    if not (0 <= i < num_states and 0 <= j < num_states and 0 <= u < num_actions):
+        raise ProblemFormatError(f"transition record {rec!r} is out of range")
+    return i, u, j, p, g
 
 
 def save_problem(problem: SspProblem, path, convention: str = "cost") -> None:

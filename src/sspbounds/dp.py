@@ -81,9 +81,6 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def residuals(self) -> list[float | None]:
-        return [r.residual for r in self.records]
-
     def to_csv(self, j_under=None, m=None, error=None) -> str:
         """Render as CSV with columns iter, J_under, m, residual, error.
 
@@ -116,7 +113,9 @@ def trace_csv(rows) -> str:
 def action_values(problem: SspProblem, values: np.ndarray) -> np.ndarray:
     """Backed-up cost of every (state, action) pair against ``values``."""
     values = check_values(problem, values)
-    return np.einsum("suj,suj->su", problem.prob, problem.cost + values[None, None, :])
+    view, num_rows = problem.transitions, problem.num_states * problem.num_actions
+    q = np.bincount(view.row, view.prob * (view.cost + values[view.to]), minlength=num_rows)
+    return q.reshape(problem.num_states, problem.num_actions)
 
 
 def bellman_backup(problem: SspProblem, values: np.ndarray) -> np.ndarray:
@@ -211,7 +210,7 @@ def value_iteration(
     runs out; the last iterate is still a valid input for bound
     computations.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")

@@ -9,7 +9,6 @@ checks here use exact ``p > 0`` tests, never an epsilon.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,7 @@ from .core import (
     Policy,
     SspProblem,
     StochasticPolicy,
-    check_policy,
-    policy_transition_matrix,
+    policy_entry_probs,
 )
 
 
@@ -85,43 +83,38 @@ def uniform_random_policy(problem: SspProblem) -> StochasticPolicy:
 
 
 def is_proper(problem: SspProblem, policy: Policy) -> ProperCheckReport:
-    """Decide properness of a policy by reachability on its induced chain."""
-    check_policy(problem, policy)
-    kernel = policy_transition_matrix(problem, policy)
-    t = problem.terminal
-    n = problem.num_states
+    """Decide properness of a policy by reachability on its induced chain.
 
-    # Breadth-first search from the terminal over reversed positive edges
-    # gives the shortest positive-probability path length per state.
-    dist = np.full(n, -1, dtype=int)
+    Searches backwards from the terminal, one level of shortest
+    positive-probability path length at a time, over the entries the
+    policy uses; each entry is looked at once, so a check costs O(nnz).
+    """
+    view = problem.transitions
+    weights = policy_entry_probs(problem, policy)
+    n, t = problem.num_states, problem.terminal
+    sources = view.row // problem.num_actions
+    dist = np.full(n, -1, dtype=np.int64)
     dist[t] = 0
-    queue = deque([t])
-    while queue:
-        j = queue.popleft()
-        for i in np.nonzero(kernel[:, j] > 0.0)[0]:
-            if dist[i] < 0:
-                dist[i] = dist[j] + 1
-                queue.append(int(i))
-
-    unreachable = tuple(int(i) for i in range(n) if dist[i] < 0)
-    if unreachable:
-        return ProperCheckReport(
-            proper=False, unreachable_states=unreachable, m_stages=None, rho_m=None
-        )
-
-    m_stages = max(1, int(dist.max()))
-    # Best single-path probability per state, following only shortest paths.
+    # best single-path probability per state, following only shortest paths
     path_prob = np.zeros(n)
     path_prob[t] = 1.0
-    for i in sorted(range(n), key=lambda s: dist[s]):
-        if i == t:
-            continue
-        succ = np.nonzero((kernel[i] > 0.0) & (dist == dist[i] - 1))[0]
-        path_prob[i] = max(kernel[i, j] * path_prob[j] for j in succ)
-    rho_m = float(path_prob.min())
-    return ProperCheckReport(
-        proper=True, unreachable_states=(), m_stages=m_stages, rho_m=rho_m
-    )
+    frontier, level = np.array([t]), 0
+    while frontier.size:
+        level += 1
+        entries = view.entering(frontier)
+        entries = entries[(weights[entries] > 0.0) & (dist[sources[entries]] < 0)]
+        # the chain's probability of each new (source, target) edge, summed over actions
+        edges, which = np.unique(sources[entries] * n + view.to[entries], return_inverse=True)
+        edge_prob = np.bincount(which, weights[entries], minlength=edges.size)
+        reached, targets = np.divmod(edges, n)
+        np.maximum.at(path_prob, reached, edge_prob * path_prob[targets])
+        dist[reached] = level
+        frontier = np.unique(reached)
+
+    unreachable = tuple(np.flatnonzero(dist < 0).tolist())
+    if unreachable:
+        return ProperCheckReport(False, unreachable, m_stages=None, rho_m=None)
+    return ProperCheckReport(True, (), max(1, int(dist.max())), float(path_prob.min()))
 
 
 def all_policies_proper(problem: SspProblem) -> AllPoliciesProperReport:

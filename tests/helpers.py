@@ -4,17 +4,73 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from sspbounds import (
     AllPoliciesProperReport,
     DeterministicPolicy,
+    ProperCheckReport,
     SspProblem,
     evaluate_policy,
 )
 from sspbounds.bounds import DEFAULT_HORIZON_CAP
 from sspbounds.errors import HorizonCapExceeded, ImproperPolicy
+
+
+class DenseKernel(NamedTuple):
+    """An instance's kernel as (S, A, S) arrays, zero where no entry is stored."""
+
+    prob: np.ndarray
+    cost: np.ndarray
+
+
+def dense(problem: SspProblem) -> DenseKernel:
+    """Rebuild ``prob[i, u, j]`` and ``cost[i, u, j]`` from the stored transitions."""
+    view = problem.transitions
+    shape = (problem.num_states, problem.num_actions, problem.num_states)
+    prob, cost = np.zeros(shape), np.zeros(shape)
+    states, actions = np.divmod(view.row, problem.num_actions)
+    prob[states, actions, view.to] = view.prob
+    cost[states, actions, view.to] = view.cost
+    return DenseKernel(prob, cost)
+
+
+def reference_action_values(problem: SspProblem, values) -> np.ndarray:
+    """Backed-up cost of every (state, action) pair by one dense einsum."""
+    prob, cost = dense(problem)
+    return np.einsum("suj,suj->su", prob, cost + np.asarray(values)[None, None, :])
+
+
+def reference_is_proper(problem: SspProblem, policy) -> ProperCheckReport:
+    """Properness by breadth-first search over the dense policy kernel."""
+    prob, _ = dense(problem)
+    if isinstance(policy, DeterministicPolicy):
+        kernel = prob[np.arange(problem.num_states), policy.actions]
+    else:
+        kernel = np.einsum("su,suj->sj", policy.weights, prob)
+    t, n = problem.terminal, problem.num_states
+    dist = np.full(n, -1, dtype=int)
+    dist[t] = 0
+    queue = deque([t])
+    while queue:
+        j = queue.popleft()
+        for i in np.nonzero(kernel[:, j] > 0.0)[0]:
+            if dist[i] < 0:
+                dist[i] = dist[j] + 1
+                queue.append(int(i))
+    unreachable = tuple(int(i) for i in range(n) if dist[i] < 0)
+    if unreachable:
+        return ProperCheckReport(False, unreachable, None, None)
+    path_prob = np.zeros(n)
+    path_prob[t] = 1.0
+    for i in sorted(range(n), key=lambda s: dist[s]):
+        if i != t:
+            succ = np.nonzero((kernel[i] > 0.0) & (dist == dist[i] - 1))[0]
+            path_prob[i] = max(kernel[i, j] * path_prob[j] for j in succ)
+    return ProperCheckReport(True, (), max(1, int(dist.max())), float(path_prob.min()))
 
 
 def _random_distribution(rng, targets, total=1.0):
@@ -150,9 +206,10 @@ def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=
     if max_stages is None:
         max_stages = DEFAULT_HORIZON_CAP
     t = problem.terminal
-    entries = problem.prob[:, :, t] > 0.0
+    prob, cost = dense(problem)
+    entries = prob[:, :, t] > 0.0
     entries[t, :] = False
-    min_terminal_cost = float(problem.cost[:, :, t][entries].min())
+    min_terminal_cost = float(cost[:, :, t][entries].min())
     offset = min_terminal_cost if criterion == "text" else 0.0
 
     inevitable = np.zeros(problem.num_states, dtype=bool)
@@ -176,14 +233,12 @@ def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=
         if k >= max_stages:
             raise HorizonCapExceeded(k)
         k += 1
-        mass_into = np.einsum("suj,j->su", problem.prob, inevitable.astype(float))
+        mass_into = np.einsum("suj,j->su", prob, inevitable.astype(float))
         usable = mass_into == 0.0
         can_avoid = usable.any(axis=1)
         joining = outside & ~can_avoid
         staying = outside & can_avoid
-        backed = np.einsum(
-            "suj,suj->su", problem.prob, problem.cost + stage_values[None, None, :]
-        )
+        backed = np.einsum("suj,suj->su", prob, cost + stage_values[None, None, :])
         backed = np.where(usable, backed, np.inf)
         new_values = stage_values.copy()
         new_values[staying] = backed[staying].min(axis=1)
@@ -201,10 +256,11 @@ def reference_all_policies_proper(problem: SspProblem) -> AllPoliciesProperRepor
     Shrinks the candidate set C with one S x A x S contraction per round:
     an action stays usable while no probability mass escapes C.
     """
+    prob, _ = dense(problem)
     in_c = np.ones(problem.num_states, dtype=bool)
     in_c[problem.terminal] = False
     while True:
-        escape = np.einsum("suj,j->su", problem.prob, (~in_c).astype(float))
+        escape = np.einsum("suj,j->su", prob, (~in_c).astype(float))
         safe_action = escape == 0.0
         keep = in_c & safe_action.any(axis=1)
         if (keep == in_c).all():
@@ -227,7 +283,7 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
     into the terminal), ``min_step_cost``, ``min_expected_step_cost`` and
     ``p_nonterminal``.
     """
-    prob, cost, t = problem.prob, problem.cost, problem.terminal
+    (prob, cost), t = dense(problem), problem.terminal
     steps = prob > 0.0
     steps[t, :, :] = False
     steps[:, :, t] = False

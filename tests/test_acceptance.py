@@ -14,9 +14,9 @@ from sspbounds import (
     bellman_backup,
     bellman_residual,
     build_gridworld,
+    compute_bounds_report,
     evaluate_policy,
     from_discounted,
-    global_suboptimality,
     greedy_policy,
     immediate_termination_states,
     is_proper,
@@ -84,11 +84,9 @@ def test_criterion_3_discounted_special_case():
     problem = from_discounted(transitions, costs, beta=0.9)
 
     values = evaluate_policy(problem, uniform_random_policy(problem))
-    steps = np.full(problem.num_states, 10.0)
-    steps[problem.terminal] = 0.0
-    bound = global_suboptimality(problem, values, steps)
+    bounds_report = compute_bounds_report(problem, values, "all-proper")
     envelope = bellman_residual(problem, values).residual / (1.0 - 0.9)
-    assert abs(bound - envelope) <= 1e-10
+    assert abs(bounds_report.global_bound - envelope) <= 1e-10
 
     rollout = monte_carlo_steps(
         problem, uniform_random_policy(problem), start=0, trials=100_000, seed=99, cap=2_000

@@ -6,28 +6,32 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense,
     brute_force_optimal,
     random_all_proper_ssp,
     random_proper_mixed_ssp,
+    random_values,
+    reference_action_values,
     reference_all_policies_proper,
     reference_horizon,
+    reference_is_proper,
     reference_kernel_facts,
 )
 from sspbounds import (
     BoundsContext,
     DeterministicPolicy,
     SspProblem,
+    action_values,
     all_policies_proper,
     bellman_backup,
     bellman_residual,
     compute_bounds_report,
     evaluate_policy,
     from_discounted,
-    global_suboptimality,
     greedy_policy,
     immediate_termination_states,
+    is_proper,
     monte_carlo_steps,
-    per_state_suboptimality,
     resolve_method,
     sandwich_bounds,
     steps_bound_all_proper,
@@ -160,11 +164,9 @@ class TestSandwichBounds:
         transitions /= transitions.sum(axis=2, keepdims=True)
         problem = from_discounted(transitions, rng.normal(size=transitions.shape), 0.9)
         values = evaluate_policy(problem, uniform_random_policy(problem))
-        steps = np.full(problem.num_states, 10.0)
-        steps[problem.terminal] = 0.0
-        bound = global_suboptimality(problem, values, steps)
+        report = compute_bounds_report(problem, values, "all-proper")
         envelope = bellman_residual(problem, values).residual / (1.0 - 0.9)
-        assert abs(bound - envelope) <= 1e-10
+        assert abs(report.global_bound - envelope) <= 1e-10
 
     def test_sandwich_on_random_all_proper_instances(self):
         rng = np.random.default_rng(33)
@@ -198,45 +200,43 @@ class TestSandwichBounds:
 
 class TestPerStateAndGlobal:
     def test_zero_residual_gives_zero_bounds(self, stay_go):
-        optimal = np.array([2.0, 0.0])
-        steps = np.array([1.0, 0.0])
-        assert np.array_equal(per_state_suboptimality(stay_go, optimal, steps), [0, 0])
-        assert global_suboptimality(stay_go, optimal, steps) == 0.0
+        report = compute_bounds_report(stay_go, np.array([2.0, 0.0]))
+        assert np.array_equal(report.per_state_bound, [0, 0])
+        assert report.global_bound == 0.0
 
     def test_requires_uniform_improvability(self, stay_go):
-        steps = np.array([1.0, 0.0])
         with pytest.raises(NotUniformlyImprovable):
-            per_state_suboptimality(stay_go, np.zeros(2), steps)
+            compute_bounds_report(stay_go, np.zeros(2))
+        context = BoundsContext.for_problem(stay_go)
         with pytest.raises(NotUniformlyImprovable):
-            global_suboptimality(stay_go, np.zeros(2), steps)
+            context.report(np.zeros(2))
 
     def test_near_goal_states_get_tighter_bounds(self, grid, grid_optimal_values):
-        steps = steps_bound_positive_costs(grid, grid_optimal_values)
-        assert steps[10] == pytest.approx(16.3, abs=0.1)
-        assert steps[2] == pytest.approx(3.1, abs=0.1)
-        bounds = per_state_suboptimality(grid, grid_optimal_values, steps)
-        assert bounds[2] <= bounds[10]
+        report = compute_bounds_report(grid, grid_optimal_values, "positive-cost")
+        assert report.steps_bound[10] == pytest.approx(16.3, abs=0.1)
+        assert report.steps_bound[2] == pytest.approx(3.1, abs=0.1)
+        assert report.per_state_bound[2] <= report.per_state_bound[10]
 
     def test_soundness_against_brute_force(self):
         rng = np.random.default_rng(47)
         for _ in range(30):
             problem = random_all_proper_ssp(rng, max_states=5)
             optimal = brute_force_optimal(problem)
-            steps = steps_bound_all_proper(problem)
+            context = BoundsContext.for_problem(problem, "all-proper")
             values = evaluate_policy(problem, uniform_random_policy(problem))
             for _ in range(4):
-                bounds = per_state_suboptimality(problem, values, steps)
+                bounds = context.report(values).per_state_bound
                 assert (np.abs(optimal - values) <= bounds + 1e-8).all()
                 values = bellman_backup(problem, values)
 
     def test_global_is_max_over_non_overridden(self, grid, grid_uniform_values):
+        report = compute_bounds_report(grid, grid_uniform_values, "positive-cost")
         steps = steps_bound_positive_costs(grid, grid_uniform_values)
-        bound = global_suboptimality(grid, grid_uniform_values, steps)
         stats = bellman_residual(grid, grid_uniform_values)
         mask = np.ones(grid.num_states, dtype=bool)
         mask[grid.terminal] = False
         mask &= ~immediate_termination_states(grid)
-        assert bound == stats.residual * steps[mask].max()
+        assert report.global_bound == stats.residual * steps[mask].max()
 
 
 class TestStepsBoundPositiveCosts:
@@ -257,13 +257,13 @@ class TestStepsBoundPositiveCosts:
         assert steps[0] == 1.0
 
     def test_nonpositive_cost_rejected_with_offenders(self, grid):
-        cost = grid.cost.copy()
+        cost = dense(grid).cost.copy()
         cost[0, 0, 1] = 0.0
         bad = SspProblem(
             num_states=grid.num_states,
             num_actions=grid.num_actions,
             terminal=grid.terminal,
-            prob=grid.prob,
+            prob=dense(grid).prob,
             cost=cost,
         )
         values = evaluate_policy(bad, uniform_random_policy(bad))
@@ -545,6 +545,39 @@ class TestKernelFactsOracle:
             assert all_policies_proper(problem) == reference_all_policies_proper(problem), name
 
 
+class TestKernelOracle:
+    """Backups and properness checks on the stored kernel match the dense formulas."""
+
+    def test_action_values(self):
+        rng = np.random.default_rng(202)
+        for name, problem in kernel_oracle_cases():
+            for values in (np.zeros(problem.num_states), random_values(rng, problem, -50, 50)):
+                q = action_values(problem, values)
+                expected = reference_action_values(problem, values)
+                scale = np.abs(expected).max()
+                assert np.allclose(q, expected, rtol=1e-12, atol=1e-12 * scale), name
+
+    def test_is_proper(self):
+        rng = np.random.default_rng(203)
+        for name, problem in kernel_oracle_cases():
+            shape = (5, problem.num_states)
+            deterministic = [
+                DeterministicPolicy(actions=actions)
+                for actions in rng.integers(problem.num_actions, size=shape)
+            ]
+            for policy in deterministic + [uniform_random_policy(problem)]:
+                report = is_proper(problem, policy)
+                expected = reference_is_proper(problem, policy)
+                assert report.proper == expected.proper, name
+                assert report.unreachable_states == expected.unreachable_states, name
+                assert report.m_stages == expected.m_stages, name
+                if isinstance(policy, DeterministicPolicy) or not expected.proper:
+                    assert report.rho_m == expected.rho_m, name
+                else:
+                    rho = pytest.approx(expected.rho_m, rel=1e-15, abs=0.0)
+                    assert report.rho_m == rho, name
+
+
 class TestLooseBoundFromHorizon:
     def test_stay_go_value(self, stay_go):
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
@@ -694,7 +727,7 @@ class TestBoundsReport:
         assert resolve_method(problem) == "general"
         values = np.array([0.75, 1.0, 0.0])
         report = compute_bounds_report(problem, values)
-        assert report.method == "general-loose"
+        assert report.method == "general"
         assert report.steps_bound[0] == 3.0
         assert report.steps_bound[1] == 3.0
 

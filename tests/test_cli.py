@@ -1,10 +1,11 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_all_proper_ssp, random_proper_mixed_ssp
+from helpers import dense, random_all_proper_ssp, random_proper_mixed_ssp
 from sspbounds import (
     GridSpec,
     SspProblem,
@@ -150,6 +151,14 @@ class TestSolve:
         assert code == 2
         assert "epsilon" in json.loads(captured.err.strip())["message"]
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_nonfinite_epsilon_exits_two(self, grid_reward_file, capsys, epsilon):
+        code = main(["solve", "--input", grid_reward_file, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "epsilon" in json.loads(captured.err.strip())["message"]
+
 
 class TestValuesFile:
     @pytest.mark.parametrize("command", ["check", "solve"])
@@ -248,12 +257,9 @@ class TestTraceBounds:
 
     def test_zero_start_general(self, tmp_path):
         # stay-or-go with a reward for leaving, so the zero start is improvable
-        base = stay_or_go_instance()
-        cost = base.cost.copy()
+        prob, cost = dense(stay_or_go_instance())
         cost[0, 0, 1] = -1.0
-        problem = SspProblem(
-            num_states=2, num_actions=2, terminal=1, prob=base.prob, cost=cost
-        )
+        problem = SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
         path = tmp_path / "leave.json"
         save_problem(problem, path)
         payload = solve_json(
@@ -305,19 +311,19 @@ class TestTraceBounds:
         path = tmp_path / "grid.json"
         save_problem(problem, path)
         views = []
-        original = sspbounds.core._nonzero_transitions
+        original = sspbounds.core.Transitions.from_entries.__func__
 
-        def counted(*args):
-            views.append(original(*args))
+        def counted(cls, *args):
+            views.append(original(cls, *args))
             return views[-1]
 
-        monkeypatch.setattr(sspbounds.core, "_nonzero_transitions", counted)
+        monkeypatch.setattr(sspbounds.core.Transitions, "from_entries", classmethod(counted))
         payload = solve_json(
             path, ["--algorithm", "vi", "--bounds", "general"], tmp_path
         )
         assert len(payload["trace"]) > 2
-        assert payload["bounds"]["method"] == "general-loose"
-        assert len(views) == 1
+        assert payload["bounds"]["method"] == "general"
+        assert len(views) == 1  # the loader's; nothing rebuilds the kernel
         assert "into" in vars(views[0])  # the search's reverse index, cached on the view
 
     def test_vacuous_horizon_bound_is_inf(self, tmp_path):
@@ -449,6 +455,38 @@ class TestCheck:
             assert ("horizon_certificate" in payload) is improvable
             assert len(calls) == 1
 
+    def test_memory_scales_with_the_records(self, tmp_path, capsys):
+        # 2000 states, 2 actions, 3 targets per row: about 12k records
+        rng = np.random.default_rng(12)
+        num_states, terminal = 2000, 1999
+        records = [
+            {"from": terminal, "action": u, "to": terminal, "prob": 1.0, "cost": 0.0}
+            for u in range(2)
+        ]
+        for i in range(terminal):
+            for u in range(2):
+                targets = rng.choice(terminal, size=2, replace=False).tolist()
+                weights = (0.9 * rng.dirichlet(np.ones(2))).tolist()
+                for j, p in zip(targets + [terminal], weights + [1.0 - sum(weights)]):
+                    records.append({"from": i, "action": u, "to": j, "prob": p, "cost": 1.0})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "num_states": num_states, "num_actions": 2, "terminal": terminal,
+            "convention": "cost", "transitions": records,
+        }), encoding="utf-8")
+        del records
+        output = tmp_path / "check.json"
+        tracemalloc.start()
+        try:
+            code = main(["check", "--input", str(path), "--output", str(output)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(output.read_text())["uniform_random_policy"]["proper"] is True
+        # a dense (S, A, S) kernel alone would take 64 MB
+        assert peak < 16e6
+
     def test_check_rejects_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"num_states": 1}), encoding="utf-8")
@@ -475,7 +513,7 @@ class TestConvert:
         capsys.readouterr()
         loaded, convention = load_problem(cost_file)
         assert convention == "cost"
-        assert np.array_equal(loaded.cost, grid.cost)
+        assert np.array_equal(dense(loaded).cost, dense(grid).cost)
 
     def test_convert_to_stdout(self, stay_go_file, capsys):
         assert main(["convert", "--input", stay_go_file]) == 0

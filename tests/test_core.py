@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_all_proper_ssp, random_discounted, random_proper_mixed_ssp
+from helpers import dense, random_all_proper_ssp, random_discounted, random_proper_mixed_ssp
 from sspbounds import (
     DeterministicPolicy,
     SspProblem,
@@ -36,12 +36,13 @@ def terminal_only_instance():
 
 
 def rebuild(problem, prob=None, cost=None):
+    kernel = dense(problem)
     return SspProblem(
         num_states=problem.num_states,
         num_actions=problem.num_actions,
         terminal=problem.terminal,
-        prob=problem.prob if prob is None else prob,
-        cost=problem.cost if cost is None else cost,
+        prob=kernel.prob if prob is None else prob,
+        cost=kernel.cost if cost is None else cost,
     )
 
 
@@ -53,7 +54,7 @@ class TestValidate:
         validate(terminal_only_instance())
 
     def test_perturbed_probability_row(self, grid):
-        prob = grid.prob.copy()
+        prob = dense(grid).prob.copy()
         where = np.argwhere(prob == 0.8)[0]
         prob[tuple(where)] = 0.79
         with pytest.raises(RowSumViolation) as info:
@@ -62,28 +63,48 @@ class TestValidate:
         assert abs(info.value.row_sum - 0.99) < 1e-9
 
     def test_terminal_not_absorbing(self, stay_go):
-        prob = stay_go.prob.copy()
-        prob[1, 0] = [0.5, 0.5]
-        with pytest.raises(TerminalNotAbsorbing):
-            validate(rebuild(stay_go, prob=prob))
+        # the second row stores no self-loop entry at all
+        for row, loop in (([0.5, 0.5], 0.5), ([1.0, 0.0], 0.0)):
+            prob = dense(stay_go).prob.copy()
+            prob[1, 0] = row
+            with pytest.raises(TerminalNotAbsorbing) as info:
+                validate(rebuild(stay_go, prob=prob))
+            assert (info.value.action, info.value.self_loop_prob) == (0, loop)
 
     def test_terminal_cost_nonzero(self, stay_go):
-        cost = stay_go.cost.copy()
+        cost = dense(stay_go).cost.copy()
         cost[1, 1, 1] = 0.25
         with pytest.raises(TerminalCostNonzero):
             validate(rebuild(stay_go, cost=cost))
 
     def test_nonfinite_cost(self, stay_go):
-        cost = stay_go.cost.copy()
+        cost = dense(stay_go).cost.copy()
         cost[0, 0, 1] = np.inf
         with pytest.raises(NonfiniteCost):
             validate(rebuild(stay_go, cost=cost))
 
     def test_probability_out_of_range(self, stay_go):
-        prob = stay_go.prob.copy()
+        prob = dense(stay_go).prob.copy()
         prob[0, 0] = [-0.5, 1.5]
         with pytest.raises(ProbabilityOutOfRange):
             validate(rebuild(stay_go, prob=prob))
+
+    def test_names_the_first_offending_entry(self, stay_go):
+        # a negative probability and a non-finite cost on a zero-probability
+        # entry are stored, so validate finds them where the dense scan did
+        prob = dense(stay_go).prob.copy()
+        prob[0, 1] = [-0.5, 1.5]
+        with pytest.raises(ProbabilityOutOfRange) as info:
+            validate(rebuild(stay_go, prob=prob))
+        assert (info.value.state, info.value.action, info.value.target) == (0, 1, 0)
+        cost = dense(stay_go).cost.copy()
+        cost[0, 0, 0] = np.nan  # prob[0, 0, 0] is 0
+        with pytest.raises(NonfiniteCost) as info:
+            validate(rebuild(stay_go, cost=cost))
+        assert (info.value.state, info.value.action, info.value.target) == (0, 0, 0)
+        # a finite cost without probability changes nothing
+        cost[0, 0, 0] = 5.0
+        assert rebuild(stay_go, cost=cost).transitions.row.size == 4
 
     def test_accepts_exactly_the_invariant_satisfying_instances(self):
         # Random instances, randomly mutated; validate must agree with a
@@ -91,8 +112,8 @@ class TestValidate:
         rng = np.random.default_rng(1234)
         for _ in range(200):
             problem = random_all_proper_ssp(rng)
-            prob = problem.prob.copy()
-            cost = problem.cost.copy()
+            prob = dense(problem).prob.copy()
+            cost = dense(problem).cost.copy()
             mutation = rng.integers(0, 5)
             if mutation == 1:
                 i = int(rng.integers(0, problem.num_states))
@@ -154,9 +175,9 @@ class TestFromDiscounted:
         problem = from_discounted([[[1.0]]], [[[0.5]]], beta=0.9)
         assert problem.num_states == 2
         assert problem.terminal == 1
-        assert problem.prob[0, 0, 1] == pytest.approx(0.1, abs=1e-12)
-        assert problem.prob[0, 0, 0] == pytest.approx(0.9, abs=1e-12)
-        assert problem.cost[0, 0, 1] == 0.0
+        assert dense(problem).prob[0, 0, 1] == pytest.approx(0.1, abs=1e-12)
+        assert dense(problem).prob[0, 0, 0] == pytest.approx(0.9, abs=1e-12)
+        assert dense(problem).cost[0, 0, 1] == 0.0
         validate(problem)
 
     def test_half_discount_halves_probabilities(self):
@@ -165,8 +186,8 @@ class TestFromDiscounted:
         transitions /= transitions.sum(axis=2, keepdims=True)
         costs = rng.normal(size=transitions.shape)
         problem = from_discounted(transitions, costs, beta=0.5)
-        assert np.allclose(problem.prob[:2, :, :2], 0.5 * transitions, atol=1e-15)
-        assert np.abs(problem.prob.sum(axis=2) - 1.0).max() <= 1e-12
+        assert np.allclose(dense(problem).prob[:2, :, :2], 0.5 * transitions, atol=1e-15)
+        assert np.abs(dense(problem).prob.sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_output_always_validates(self):
         rng = np.random.default_rng(11)
@@ -179,7 +200,7 @@ class TestFromDiscounted:
             beta = float(rng.uniform(0.05, 0.95))
             problem = from_discounted(transitions, costs, beta)
             validate(problem)
-            assert np.abs(problem.prob.sum(axis=2) - 1.0).max() <= 1e-12
+            assert np.abs(dense(problem).prob.sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_expected_steps_match_discount_horizon(self):
         rng = np.random.default_rng(21)
@@ -206,18 +227,18 @@ class TestFromDiscounted:
 class TestNegateCosts:
     def test_terminal_self_loop_stays_zero(self, stay_go):
         negated = negate_costs(stay_go)
-        assert negated.cost[1, 0, 1] == 0.0
+        assert dense(negated).cost[1, 0, 1] == 0.0
         validate(negated)
 
     def test_gridworld_sign_flip(self, grid):
         negated = negate_costs(grid)
-        assert negated.cost[0, 2, 1] == pytest.approx(-0.04)
-        assert negated.cost[3, 0, grid.terminal] == 1.0
+        assert dense(negated).cost[0, 2, 1] == pytest.approx(-0.04)
+        assert dense(negated).cost[3, 0, grid.terminal] == 1.0
 
     def test_double_negation_is_bit_identical(self, grid):
         twice = negate_costs(negate_costs(grid))
-        assert twice.cost.tobytes() == grid.cost.tobytes()
-        assert twice.prob.tobytes() == grid.prob.tobytes()
+        assert dense(twice).cost.tobytes() == dense(grid).cost.tobytes()
+        assert dense(twice).prob.tobytes() == dense(grid).prob.tobytes()
 
 
 class TestPolicies:
@@ -251,8 +272,8 @@ class TestJsonFiles:
         save_problem(grid, path, convention="cost")
         loaded, convention = load_problem(path)
         assert convention == "cost"
-        assert np.array_equal(loaded.prob, grid.prob)
-        assert np.array_equal(loaded.cost, grid.cost)
+        assert np.array_equal(dense(loaded).prob, dense(grid).prob)
+        assert np.array_equal(dense(loaded).cost, dense(grid).cost)
 
     def test_round_trip_reward_convention(self, grid, tmp_path):
         path = tmp_path / "grid_reward.json"
@@ -262,7 +283,7 @@ class TestJsonFiles:
         loaded, convention = load_problem(path)
         assert convention == "reward"
         # loader negates reward-form costs back into cost form
-        assert np.array_equal(loaded.cost, grid.cost)
+        assert np.array_equal(dense(loaded).cost, dense(grid).cost)
 
     def test_round_trip_across_writer_blocks(self):
         rng = np.random.default_rng(8)
@@ -272,14 +293,49 @@ class TestJsonFiles:
         assert len(triples) == 40 * 11 * 41 + 11  # more than one block of 16384
         assert triples == sorted(triples)
         loaded, _ = problem_from_json_dict(data)
-        assert np.array_equal(loaded.prob, problem.prob)
-        assert np.array_equal(loaded.cost, problem.cost)
+        assert np.array_equal(dense(loaded).prob, dense(problem).prob)
+        assert np.array_equal(dense(loaded).cost, dense(problem).cost)
 
     def test_duplicate_record_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)
         data["transitions"].append(dict(data["transitions"][0]))
         with pytest.raises(ProblemFormatError):
             problem_from_json_dict(data)
+
+    @pytest.mark.parametrize("convention", ["cost", "reward"])
+    def test_record_order_does_not_matter(self, grid, convention):
+        rng = np.random.default_rng(4)
+        problems = [grid, random_proper_mixed_ssp(rng), from_discounted(*random_discounted(rng), 0.8)]
+        for problem in problems:
+            data = problem_to_json_dict(problem, convention)
+            in_order, _ = problem_from_json_dict(data)
+            rng.shuffle(data["transitions"])
+            shuffled, _ = problem_from_json_dict(data)
+            for field in ("row", "to", "prob", "cost"):
+                expected = getattr(problem.transitions, field)
+                assert np.array_equal(getattr(in_order.transitions, field), expected)
+                assert np.array_equal(getattr(shuffled.transitions, field), expected)
+
+    def test_record_error_messages(self, stay_go):
+        records = problem_to_json_dict(stay_go)["transitions"]
+        go, stay = records[0], records[1]
+        far = dict(go, to=9)
+        broken = dict(go, prob="often")
+        cases = [
+            ([go, stay, dict(go)], "duplicate transition record for (from=0, action=0, to=1)"),
+            # the first offending record in file order is reported
+            ([go, stay, dict(stay), dict(go)], "duplicate transition record for (from=0, action=1, to=0)"),
+            ([go, dict(go), far], "duplicate transition record for (from=0, action=0, to=1)"),
+            ([go, far, dict(go)], f"transition record {far!r} is out of range"),
+            ([go, dict(go), broken], "duplicate transition record for (from=0, action=0, to=1)"),
+            ([go, broken, dict(go)], f"malformed transition record {broken!r}"),
+        ]
+        for transitions, message in cases:
+            data = problem_to_json_dict(stay_go)
+            data["transitions"] = transitions
+            with pytest.raises(ProblemFormatError) as info:
+                problem_from_json_dict(data)
+            assert str(info.value) == message
 
     def test_missing_field_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)
@@ -345,5 +401,5 @@ class TestJsonFiles:
             ],
         }
         problem, _ = problem_from_json_dict(data)
-        assert problem.prob[0, 0, 0] == 0.0
-        assert problem.prob[0, 0, 1] == 1.0
+        assert dense(problem).prob[0, 0, 0] == 0.0
+        assert dense(problem).prob[0, 0, 1] == 1.0

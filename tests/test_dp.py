@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     brute_force_optimal,
+    dense,
     random_all_proper_ssp,
     random_proper_mixed_ssp,
     random_values,
@@ -110,11 +111,12 @@ class TestGreedyPolicy:
 
     def test_gridworld_optimal_actions(self, grid, grid_optimal_values, grid_optimal_policy):
         # independent argmin per state against the converged values
+        prob, cost = dense(grid)
         q = np.zeros((grid.num_states, grid.num_actions))
         for i in range(grid.num_states):
             for u in range(grid.num_actions):
                 q[i, u] = sum(
-                    grid.prob[i, u, j] * (grid.cost[i, u, j] + grid_optimal_values[j])
+                    prob[i, u, j] * (cost[i, u, j] + grid_optimal_values[j])
                     for j in range(grid.num_states)
                 )
         brute = q.argmin(axis=1)
@@ -183,8 +185,9 @@ class TestValueIteration:
         assert info.value.values.shape == (4,)
 
     def test_invalid_epsilon(self, stay_go):
-        with pytest.raises(ValueError):
-            value_iteration(stay_go, np.zeros(2), epsilon=0.0)
+        for epsilon in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                value_iteration(stay_go, np.zeros(2), epsilon=epsilon)
 
 
 class TestEvaluatePolicy:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import dense
 from sspbounds import (
     GridSpec,
     build_gridworld,
@@ -40,23 +41,23 @@ class TestBuilder:
     def test_exit_cells_jump_to_terminal(self, grid):
         for state, reward in ((3, 1.0), (6, -1.0)):
             for action in range(grid.num_actions):
-                assert grid.prob[state, action, grid.terminal] == 1.0
-                assert grid.cost[state, action, grid.terminal] == -reward
+                assert dense(grid).prob[state, action, grid.terminal] == 1.0
+                assert dense(grid).cost[state, action, grid.terminal] == -reward
 
     def test_row_sums(self, grid):
-        assert np.abs(grid.prob.sum(axis=2) - 1.0).max() <= 1e-12
+        assert np.abs(dense(grid).prob.sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_movement_noise_shape(self, grid):
         # top-left corner moving east: 0.8 east, 0.1 slip north (bump), 0.1 slip south
-        assert grid.prob[0, 2, 1] == 0.8
-        assert grid.prob[0, 2, 0] == pytest.approx(0.1)
-        assert grid.prob[0, 2, 4] == pytest.approx(0.1)
+        assert dense(grid).prob[0, 2, 1] == 0.8
+        assert dense(grid).prob[0, 2, 0] == pytest.approx(0.1)
+        assert dense(grid).prob[0, 2, 4] == pytest.approx(0.1)
 
     def test_build_is_deterministic(self):
         first = build_gridworld()
         second = build_gridworld()
-        assert first.prob.tobytes() == second.prob.tobytes()
-        assert first.cost.tobytes() == second.cost.tobytes()
+        assert dense(first).prob.tobytes() == dense(second).prob.tobytes()
+        assert dense(first).cost.tobytes() == dense(second).cost.tobytes()
 
     def test_golden_file_byte_identical(self, grid):
         rendered = json.dumps(problem_to_json_dict(grid, "reward"), indent=2) + "\n"
@@ -65,8 +66,8 @@ class TestBuilder:
     def test_golden_file_loads_back(self, grid):
         loaded, convention = load_problem(GOLDEN)
         assert convention == "reward"
-        assert np.array_equal(loaded.prob, grid.prob)
-        assert np.array_equal(loaded.cost, grid.cost)
+        assert np.array_equal(dense(loaded).prob, dense(grid).prob)
+        assert np.array_equal(dense(loaded).cost, dense(grid).cost)
 
     def test_plain_dynamics_share_the_optimal_solution(self, grid, grid_uniform_values):
         plain = build_gridworld(GridSpec(slip_redirects={}))

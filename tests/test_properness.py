@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from helpers import random_proper_mixed_ssp
+from helpers import dense, random_proper_mixed_ssp
 from sspbounds import (
     DeterministicPolicy,
     all_policies_proper,
@@ -105,7 +105,7 @@ class TestAllPoliciesProper:
         assert set(report.witness_states) == {0, 1, 2, 4, 5, 7, 8, 9, 10}
         # the witness actions really do avoid the terminal forever
         for state, action in report.witness_actions.items():
-            mass_inside = grid.prob[state, action, list(report.witness_states)].sum()
+            mass_inside = dense(grid).prob[state, action, list(report.witness_states)].sum()
             assert mass_inside == 1.0
 
 
