@@ -5,16 +5,15 @@ Bellman residual into per-state and global bounds on how far the current
 value function (and its greedy policy) can be from optimal.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundsContext,
     BoundsReport,
     HorizonCertificate,
-    MonteCarloSteps,
     compute_bounds_report,
     immediate_termination_states,
-    monte_carlo_steps,
     resolve_method,
-    sandwich_bounds,
     steps_bound_all_proper,
     steps_bound_from_horizon,
     steps_bound_positive_costs,
@@ -24,14 +23,11 @@ from .core import (
     DeterministicPolicy,
     SspProblem,
     StochasticPolicy,
-    expected_cost,
     from_discounted,
     load_problem,
-    negate_costs,
     policy_cost_vector,
     policy_transition_matrix,
     save_problem,
-    stay_or_go_instance,
     validate,
 )
 from .dp import (
@@ -47,14 +43,11 @@ from .dp import (
     policy_backup,
     policy_iteration,
     require_uniformly_improvable,
-    residual_stats,
-    stochastic_policy_backup,
     value_iteration,
 )
 from .errors import (
     HorizonCapExceeded,
     ImproperPolicy,
-    InfiniteStepsBound,
     MaxItersExceeded,
     NonfiniteCost,
     NonpositiveCost,
@@ -80,5 +73,10 @@ from .properness import (
     uniform_random_policy,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above but are not exported
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

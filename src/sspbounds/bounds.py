@@ -16,8 +16,12 @@ Three procedures produce N(i):
 ``BoundsContext`` resolves the procedure for an instance and computes the
 ingredients of N that do not depend on J once; it then gives the steps
 bound, the per-row trace columns and the full report of any iterate.
-``monte_carlo_steps`` is the sampling oracle used to sanity-check all of
-them.
+
+Every N covers all policies no costlier than J, the greedy policy of a
+uniformly improvable J among them. With c- <= 0 <= c+ the extremes of
+TJ - J (it is 0 at the terminal), the report's fields give the envelope
+
+    J + c- * N  <=  J*  <=  J_greedy  <=  J + c+ * N.
 """
 
 from __future__ import annotations
@@ -30,18 +34,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Policy, SspProblem, check_values, policy_transition_matrix
+from .core import SspProblem, check_values
 from .dp import (  # bellman_backup stays bound here for code that patches it
     IterationTrace,
     bellman_backup,  # noqa: F401
-    bellman_residual,
     policy_iteration,
     require_uniformly_improvable,
     residual_stats,
 )
 from .errors import (
     HorizonCapExceeded,
-    InfiniteStepsBound,
     NonpositiveCost,
     NoTerminalTransition,
     NotAllPoliciesProper,
@@ -67,19 +69,6 @@ _LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 def json_number(x: float | None) -> float | str | None:
     """A float for JSON output; infinities become the string "inf"."""
     return "inf" if x is not None and math.isinf(x) else x
-
-
-class MonteCarloSteps(NamedTuple):
-    """Sample mean steps-to-termination with a 95% half-width.
-
-    Rollouts that hit the cap are counted in ``capped`` and excluded from
-    the mean; ``mean`` and ``ci95`` are NaN when nothing completed.
-    """
-
-    mean: float
-    ci95: float
-    completed: int
-    capped: int
 
 
 @dataclass(frozen=True)
@@ -186,9 +175,7 @@ class KernelFacts(NamedTuple):
     ``p_terminal`` (p_t) are the cheapest cost and the smallest
     probability of a move into the terminal, None when there is none.
     ``min_step_cost`` (b) and ``p_nonterminal`` (p_n) are the same for
-    steps, and ``min_expected_step_cost`` is the smallest expected step
-    cost of a (state, action) row per unit of its step probability; they
-    are inf, 1 and inf when there is no step.
+    steps, inf and 1 when there is no step.
     """
 
     overridden: np.ndarray
@@ -197,7 +184,6 @@ class KernelFacts(NamedTuple):
     min_terminal_cost: float | None
     p_terminal: float | None
     min_step_cost: float
-    min_expected_step_cost: float
     p_nonterminal: float
 
     def terminal_move(self) -> tuple[float, float]:
@@ -206,12 +192,11 @@ class KernelFacts(NamedTuple):
             raise NoTerminalTransition()
         return self.min_terminal_cost, self.p_terminal
 
-    def positive_cost(self, refine_step_cost: bool = False) -> tuple[float, float]:
-        """(a, b) of the closed form; b is the expected-cost refinement on request."""
+    def positive_cost(self) -> tuple[float, float]:
+        """(a, b) of the closed form."""
         if self.nonpositive_steps.size:
             raise NonpositiveCost(tuple(map(int, triple)) for triple in self.nonpositive_steps)
-        b = self.min_expected_step_cost if refine_step_cost else self.min_step_cost
-        return self.terminal_move()[0], b
+        return self.terminal_move()[0], self.min_step_cost
 
 
 def _kernel_facts(problem: SspProblem) -> KernelFacts:
@@ -237,17 +222,11 @@ def _kernel_facts(problem: SspProblem) -> KernelFacts:
     if into_terminal.any():
         min_terminal_cost = float(view.cost[into_terminal].min())
         p_terminal = float(view.prob[into_terminal].min())
-    min_step_cost = min_expected_step_cost = math.inf
+    min_step_cost = math.inf
     p_nonterminal = 1.0
     if steps.any():
-        step_prob, step_cost = view.prob[steps], view.cost[steps]
-        min_step_cost = float(step_cost.min())
-        p_nonterminal = float(step_prob.min())
-        # rows without a step get zero mass and drop out
-        mass = np.bincount(view.row[steps], step_prob)
-        expected = np.bincount(view.row[steps], step_prob * step_cost)
-        with_mass = mass > 0.0
-        min_expected_step_cost = float((expected[with_mass] / mass[with_mass]).min())
+        min_step_cost = float(view.cost[steps].min())
+        p_nonterminal = float(view.prob[steps].min())
     return KernelFacts(
         overridden=overridden,
         counted=counted,
@@ -255,7 +234,6 @@ def _kernel_facts(problem: SspProblem) -> KernelFacts:
         min_terminal_cost=min_terminal_cost,
         p_terminal=p_terminal,
         min_step_cost=min_step_cost,
-        min_expected_step_cost=min_expected_step_cost,
         p_nonterminal=p_nonterminal,
     )
 
@@ -269,16 +247,6 @@ def immediate_termination_states(problem: SspProblem) -> np.ndarray:
     return _kernel_facts(problem).overridden
 
 
-def _steps_product(change: float, steps: np.ndarray) -> np.ndarray:
-    """change * steps under extended-real rules: a zero extreme kills infinities."""
-    if change == 0.0:
-        return np.zeros_like(steps)
-    infinite = np.isinf(steps)
-    if infinite.any():
-        raise InfiniteStepsBound(int(i) for i in np.nonzero(infinite)[0])
-    return change * steps
-
-
 def _certified(residual: float, steps) -> np.ndarray:
     """residual * steps, where a zero residual certifies J exactly even at N = inf."""
     steps = np.asarray(steps, dtype=float)
@@ -287,42 +255,7 @@ def _certified(residual: float, steps) -> np.ndarray:
     return residual * steps
 
 
-def sandwich_bounds(
-    problem: SspProblem,
-    values: np.ndarray,
-    steps_optimal: np.ndarray,
-    steps_greedy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-sided envelope around the optimal values and the greedy policy's.
-
-    With c- and c+ the signed extremes of TJ - J, returns
-
-        lower(i) = J(i) + c- * steps_optimal(i)
-        upper(i) = J(i) + c+ * steps_greedy(i)
-
-    which satisfy lower <= J* <= J_greedy <= upper, where steps_optimal
-    bounds the expected steps-to-termination of an optimal policy and
-    steps_greedy that of the greedy policy. Raises
-    :class:`InfiniteStepsBound` when an infinite entry meets a nonzero
-    extreme.
-    """
-    values = check_values(problem, values)
-    steps_optimal = np.asarray(steps_optimal, dtype=float)
-    steps_greedy = np.asarray(steps_greedy, dtype=float)
-    for steps in (steps_optimal, steps_greedy):
-        if steps.shape != values.shape:
-            raise ValueError("steps bounds must have one entry per state")
-        if (steps < 0).any() or np.isnan(steps).any():
-            raise ValueError("steps bounds must be nonnegative")
-    stats = bellman_residual(problem, values)
-    lower = values + _steps_product(stats.min_change, steps_optimal)
-    upper = values + _steps_product(stats.max_change, steps_greedy)
-    return lower, upper
-
-
-def steps_bound_positive_costs(
-    problem: SspProblem, values: np.ndarray, refine_step_cost: bool = False
-) -> np.ndarray:
+def steps_bound_positive_costs(problem: SspProblem, values: np.ndarray) -> np.ndarray:
     """Closed-form steps bound N(i) = (J(i) - a) / b + 1 for positive step costs.
 
     Valid for any policy whose cost-to-go is elementwise at most the
@@ -331,17 +264,12 @@ def steps_bound_positive_costs(
     (its sign is unrestricted) and b the cheapest nonterminal transition,
     all of which must be strictly positive.
 
-    With ``refine_step_cost`` the divisor becomes the minimum *expected*
-    nonterminal transition cost per (state, action), a tighter but still
-    valid value when step costs are non-uniform. The raw minimum is the
-    default; the refinement is never substituted silently.
-
     Entries that come out below 1 are clamped to 1 (a nonterminal state
     needs at least one transition) and the clamp is logged.
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
-    a, b = _kernel_facts(problem).positive_cost(refine_step_cost)
+    a, b = _kernel_facts(problem).positive_cost()
     return _positive_cost_steps(problem, values, a, b)
 
 
@@ -431,7 +359,7 @@ def termination_horizon(
 
 
 def _search_horizon(
-    problem: SspProblem, values: np.ndarray, offset: float, max_stages: int | None
+    problem: SspProblem, values: np.ndarray, offset: float, max_stages: int | None = None
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The horizon recursion: m, each state's joining stage and the last stage values.
 
@@ -513,65 +441,6 @@ def _horizon_steps(m: int, p_terminal: float, p_nonterminal: float) -> float:
     return m / (p_nonterminal ** (m - 1) * p_terminal)
 
 
-def monte_carlo_steps(
-    problem: SspProblem,
-    policy: Policy,
-    start: int,
-    trials: int,
-    seed: int,
-    cap: int = 10_000,
-) -> MonteCarloSteps:
-    """Estimate expected steps-to-termination by simulating rollouts.
-
-    Simulates all trials as one batch against the policy's induced chain;
-    the result is deterministic for a fixed seed. Rollouts still running
-    after ``cap`` steps are reported in ``capped`` and excluded from the
-    mean.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    if not 0 <= start < problem.num_states:
-        raise IndexError(f"start state {start} out of range")
-    t = problem.terminal
-    if start == t:
-        return MonteCarloSteps(0.0, 0.0, trials, 0)
-
-    cumulative = policy_transition_matrix(problem, policy).cumsum(axis=1)
-    rng = np.random.default_rng(seed)
-    steps_taken = np.zeros(trials, dtype=int)
-    finished = np.zeros(trials, dtype=bool)
-    active = np.arange(trials)
-    state = np.full(trials, start, dtype=int)
-
-    for step in range(1, cap + 1):
-        draws = rng.random(active.size)
-        rows = cumulative[state]
-        nxt = (rows <= draws[:, None]).sum(axis=1)
-        np.minimum(nxt, problem.num_states - 1, out=nxt)
-        arrived = nxt == t
-        steps_taken[active[arrived]] = step
-        finished[active[arrived]] = True
-        active = active[~arrived]
-        state = nxt[~arrived]
-        if active.size == 0:
-            break
-
-    completed = int(finished.sum())
-    capped = trials - completed
-    if completed == 0:
-        return MonteCarloSteps(math.nan, math.nan, 0, capped)
-    samples = steps_taken[finished].astype(float)
-    mean = float(samples.mean())
-    ci95 = (
-        0.0
-        if completed < 2
-        else float(1.96 * samples.std(ddof=1) / math.sqrt(completed))
-    )
-    return MonteCarloSteps(mean, ci95, completed, capped)
-
-
 def resolve_method(problem: SspProblem, method: str = "auto") -> str:
     """Pick the steps-bound procedure for an instance.
 
@@ -613,13 +482,10 @@ class BoundsContext:
     problem: SspProblem
     method: str
     facts: KernelFacts
-    horizon_cap: int | None = None
     all_proper_steps: np.ndarray | None = None
 
     @classmethod
-    def for_problem(
-        cls, problem: SspProblem, method: str = "auto", horizon_cap: int | None = None
-    ) -> BoundsContext:
+    def for_problem(cls, problem: SspProblem, method: str = "auto") -> BoundsContext:
         """Resolve the method; raises when its ingredients do not exist."""
         facts = _kernel_facts(problem)
         resolved, proper_report = _resolve(problem, method, facts)
@@ -631,7 +497,7 @@ class BoundsContext:
             all_proper_steps = steps_bound_all_proper(problem, proper_report)
         else:
             facts.terminal_move()
-        return cls(problem, resolved, facts, horizon_cap, all_proper_steps)
+        return cls(problem, resolved, facts, all_proper_steps)
 
     def steps(self, values: np.ndarray) -> np.ndarray:
         """Per-state steps bound of a uniformly improvable J, overrides applied.
@@ -647,9 +513,7 @@ class BoundsContext:
         elif self.method == "all-proper":
             steps = self.all_proper_steps.copy()
         else:
-            m, _, _ = _search_horizon(
-                self.problem, values, facts.min_terminal_cost, self.horizon_cap
-            )
+            m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost)
             steps = np.zeros(self.problem.num_states)
             steps[self.problem.nonterminal] = _horizon_steps(
                 m, facts.p_terminal, facts.p_nonterminal
@@ -718,10 +582,7 @@ class BoundsContext:
 
 
 def compute_bounds_report(
-    problem: SspProblem,
-    values: np.ndarray,
-    method: str = "auto",
-    horizon_cap: int | None = None,
+    problem: SspProblem, values: np.ndarray, method: str = "auto"
 ) -> BoundsReport:
     """Assemble the full bounds report for a uniformly improvable value function."""
-    return BoundsContext.for_problem(problem, method, horizon_cap).report(values)
+    return BoundsContext.for_problem(problem, method).report(values)

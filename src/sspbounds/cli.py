@@ -95,9 +95,13 @@ def _load_values_file(path: str, problem: SspProblem, convention: str) -> np.nda
         raise ProblemFormatError(f"value file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "values" not in data:
         raise ProblemFormatError("value file must be an object with a 'values' field")
+    entries = data["values"]
+    # JSON numbers only: numpy would also read booleans and numeric strings
+    if not isinstance(entries, list) or any(type(v) not in (int, float) for v in entries):
+        raise ProblemFormatError("value file 'values' must be a list of numbers")
     try:
-        values = check_values(problem, data["values"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        values = check_values(problem, entries)
+    except (ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"malformed value file: {exc}") from exc
     return np.negative(values) if convention == "reward" else values
 
@@ -140,8 +144,13 @@ def cmd_solve(config: RunConfig) -> int:
     report, rows = context.certify(trace, sign)
 
     if config.output_format == "csv":
-        j_under, m_col, error_col = zip(*rows)
-        _emit(trace.to_csv(j_under=j_under, m=m_col, error=error_col), config.output)
+        _emit(
+            trace_csv(
+                (rec.iteration, row.j_under, row.m, rec.residual, row.error)
+                for rec, row in zip(trace.records, rows)
+            ),
+            config.output,
+        )
     else:
         payload = {
             "config": {

@@ -8,7 +8,7 @@ reporting, so there is a single sign convention everywhere else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -258,17 +258,6 @@ def validate(problem: SspProblem) -> None:
         raise NonfiniteCost(*entry(bad[0]), float(view.cost[bad[0]]))
 
 
-def expected_cost(problem: SspProblem, state: int, action: int) -> float:
-    """One-step expected cost of taking ``action`` in ``state``."""
-    if not 0 <= state < problem.num_states:
-        raise IndexError(f"state {state} out of range")
-    if not 0 <= action < problem.num_actions:
-        raise IndexError(f"action {action} out of range")
-    view, row = problem.transitions, state * problem.num_actions + action
-    lo, hi = np.searchsorted(view.row, [row, row + 1])
-    return float(view.prob[lo:hi] @ view.cost[lo:hi])
-
-
 def from_discounted(transitions, costs, beta: float) -> SspProblem:
     """Reduce a discounted MDP to an equivalent shortest path problem.
 
@@ -308,16 +297,6 @@ def from_discounted(transitions, costs, beta: float) -> SspProblem:
     return SspProblem(n + 1, num_actions, terminal=n, transitions=view)
 
 
-def negate_costs(problem: SspProblem) -> SspProblem:
-    """Flip the sign of every transition cost.
-
-    Bridges reward-maximization inputs into the cost-minimization core.
-    Applying it twice returns a bit-identical instance.
-    """
-    view = problem.transitions
-    return replace(problem, transitions=replace(view, cost=np.negative(view.cost)))
-
-
 def policy_entry_probs(problem: SspProblem, policy: Policy) -> np.ndarray:
     """Each stored entry's probability times the policy's weight of its action."""
     check_policy(problem, policy)
@@ -344,20 +323,6 @@ def policy_cost_vector(problem: SspProblem, policy: Policy) -> np.ndarray:
     states = view.row // problem.num_actions
     weighted_costs = policy_entry_probs(problem, policy) * view.cost
     return np.bincount(states, weighted_costs, minlength=problem.num_states)
-
-
-def stay_or_go_instance() -> SspProblem:
-    """Minimal two-state instance with one proper and one improper policy.
-
-    State 0 is the only decision state, state 1 the terminal. Action 0
-    ("go") moves to the terminal for a cost of 2; action 1 ("stay")
-    self-loops for a cost of 1. Staying forever never terminates, so the
-    Bellman operator is not a contraction here, yet the optimal cost-to-go
-    of state 0 is 2.
-    """
-    # rows (state, action): (0, go), (0, stay), then the terminal's two self-loops
-    view = Transitions(2, row=[0, 1, 2, 3], to=[1, 0, 1, 1], prob=[1.0] * 4, cost=[2, 1, 0, 0])
-    return SspProblem(num_states=2, num_actions=2, terminal=1, transitions=view)
 
 
 # --- JSON instance files ---------------------------------------------------
@@ -413,10 +378,10 @@ def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
         if field not in data:
             raise ProblemFormatError(f"missing required field {field!r}")
     try:
-        num_states = int(data["num_states"])
-        num_actions = int(data["num_actions"])
-        terminal = int(data["terminal"])
-    except (TypeError, ValueError) as exc:
+        num_states = _index(data["num_states"])
+        num_actions = _index(data["num_actions"])
+        terminal = _index(data["terminal"])
+    except ValueError as exc:
         raise ProblemFormatError(f"malformed size field: {exc}") from exc
     convention = data["convention"]
     if convention not in ("cost", "reward"):
@@ -433,7 +398,7 @@ def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
 
     row, to, prob, cost = _read_records(data["transitions"], num_states, num_actions)
     if convention == "reward":
-        cost = np.negative(cost)
+        cost = 0.0 - cost  # not -cost, which turns zero rewards into -0.0 costs
     view = Transitions.from_entries(num_states, row, to, prob, cost)
     problem = SspProblem(num_states, num_actions, terminal, transitions=view)
     validate(problem)
@@ -473,15 +438,33 @@ def _read_records(records: list, num_states: int, num_actions: int) -> tuple[np.
 
 
 def _parse_record(rec, num_states: int, num_actions: int) -> tuple:
-    """One transition record as (from, action, to, prob, cost), range-checked."""
+    """One transition record as (from, action, to, prob, cost), type- and range-checked."""
     try:
-        i, u, j = int(rec["from"]), int(rec["action"]), int(rec["to"])
-        p, g = float(rec["prob"]), float(rec["cost"])
+        i, u, j, p, g = rec["from"], rec["action"], rec["to"], rec["prob"], rec["cost"]
+        # records as the writer emits them (int indices, float prob and cost) need no conversion
+        if not (type(i) is type(u) is type(j) is int):
+            i, u, j = _index(i), _index(u), _index(j)
+        if not (type(p) is type(g) is float):
+            p, g = _number(p), _number(g)
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"malformed transition record {rec!r}") from exc
     if not (0 <= i < num_states and 0 <= j < num_states and 0 <= u < num_actions):
         raise ProblemFormatError(f"transition record {rec!r} is out of range")
     return i, u, j, p, g
+
+
+def _index(x) -> int:
+    """A JSON integer (or an integral float) as an int; ValueError for anything else."""
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _number(x) -> float:
+    """A JSON number as a float; ValueError for booleans, strings and the rest."""
+    if type(x) is int or type(x) is float:
+        return float(x)  # OverflowError for an int beyond the float range
+    raise ValueError(f"{x!r} is not a number")
 
 
 def save_problem(problem: SspProblem, path, convention: str = "cost") -> None:

@@ -21,9 +21,10 @@ from .core import (
     DeterministicPolicy,
     Policy,
     SspProblem,
-    StochasticPolicy,
     check_policy,
     check_values,
+    policy_cost_vector,
+    policy_transition_matrix,
 )
 from .errors import (
     ImproperPolicy,
@@ -81,21 +82,6 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def to_csv(self, j_under=None, m=None, error=None) -> str:
-        """Render as CSV with columns iter, J_under, m, residual, error.
-
-        The optional per-row columns come from the bounds machinery; absent
-        columns are left blank (see :func:`trace_csv`).
-        """
-
-        def col(seq, k):
-            return None if seq is None else seq[k]
-
-        return trace_csv(
-            (rec.iteration, col(j_under, k), col(m, k), rec.residual, col(error, k))
-            for k, rec in enumerate(self.records)
-        )
-
 
 def csv_cell(x: float | None) -> str:
     """A CSV cell: blank for None, else 6 significant digits."""
@@ -123,28 +109,17 @@ def bellman_backup(problem: SspProblem, values: np.ndarray) -> np.ndarray:
     return action_values(problem, values).min(axis=1)
 
 
-def policy_backup(
-    problem: SspProblem, policy: DeterministicPolicy, values: np.ndarray
-) -> np.ndarray:
-    """One application of the fixed-policy backup for a deterministic policy."""
+def policy_backup(problem: SspProblem, policy: Policy, values: np.ndarray) -> np.ndarray:
+    """One application of the fixed-policy backup.
+
+    A deterministic policy picks its action's value, a stochastic one
+    averages the action values over its weights.
+    """
     check_policy(problem, policy)
     q = action_values(problem, values)
-    return q[np.arange(problem.num_states), policy.actions]
-
-
-def stochastic_policy_backup(
-    problem: SspProblem, policy: StochasticPolicy, values: np.ndarray
-) -> np.ndarray:
-    """Fixed-policy backup averaged over the policy's action weights."""
-    check_policy(problem, policy)
-    q = action_values(problem, values)
-    return np.einsum("su,su->s", policy.weights, q)
-
-
-def _backup_under(problem: SspProblem, policy: Policy, values: np.ndarray) -> np.ndarray:
     if isinstance(policy, DeterministicPolicy):
-        return policy_backup(problem, policy, values)
-    return stochastic_policy_backup(problem, policy, values)
+        return q[np.arange(problem.num_states), policy.actions]
+    return np.einsum("su,su->s", policy.weights, q)
 
 
 def greedy_policy(problem: SspProblem, values: np.ndarray) -> DeterministicPolicy:
@@ -256,8 +231,6 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
     if not report.proper:
         raise ImproperPolicy(report.unreachable_states)
 
-    from .core import policy_cost_vector, policy_transition_matrix
-
     kernel = policy_transition_matrix(problem, policy)
     one_step = policy_cost_vector(problem, policy)
     nt = problem.nonterminal
@@ -269,14 +242,14 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
         solution = np.linalg.solve(system, rhs)
         values[nt] = solution
         for _ in range(5):
-            residual = np.abs(_backup_under(problem, policy, values) - values).max()
+            residual = np.abs(policy_backup(problem, policy, values) - values).max()
             if residual <= EVAL_RESIDUAL_TOL:
                 return values
             correction = np.linalg.solve(system, rhs - system @ values[nt])
             values[nt] += correction
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}") from exc
-    residual = np.abs(_backup_under(problem, policy, values) - values).max()
+    residual = np.abs(policy_backup(problem, policy, values) - values).max()
     if residual > EVAL_RESIDUAL_TOL:
         raise SingularSystem(
             f"policy evaluation residual {residual:.3e} exceeds {EVAL_RESIDUAL_TOL:g}"

@@ -120,15 +120,6 @@ class NonpositiveCost(SolverPreconditionError):
         )
 
 
-class InfiniteStepsBound(SspError):
-    def __init__(self, states):
-        self.states = tuple(sorted(states))
-        super().__init__(
-            "steps bound is infinite at states "
-            f"{list(self.states)} and the matching residual extreme is nonzero"
-        )
-
-
 class SingularSystem(SspError):
     """Policy evaluation failed numerically; should not happen for proper policies."""
 

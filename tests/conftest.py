@@ -1,10 +1,10 @@
 import pytest
 
+from helpers import stay_or_go_instance
 from sspbounds import (
     build_gridworld,
     evaluate_policy,
     greedy_policy,
-    stay_or_go_instance,
     uniform_random_policy,
     value_iteration,
 )

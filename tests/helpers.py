@@ -1,4 +1,4 @@
-"""Random instance generators and brute-force oracles shared by the tests."""
+"""Random instance generators, fixtures and brute-force oracles shared by the tests."""
 
 from __future__ import annotations
 
@@ -15,8 +15,10 @@ from sspbounds import (
     ProperCheckReport,
     SspProblem,
     evaluate_policy,
+    policy_transition_matrix,
 )
 from sspbounds.bounds import DEFAULT_HORIZON_CAP
+from sspbounds.core import Policy, Transitions
 from sspbounds.errors import HorizonCapExceeded, ImproperPolicy
 
 
@@ -71,6 +73,93 @@ def reference_is_proper(problem: SspProblem, policy) -> ProperCheckReport:
             succ = np.nonzero((kernel[i] > 0.0) & (dist == dist[i] - 1))[0]
             path_prob[i] = max(kernel[i, j] * path_prob[j] for j in succ)
     return ProperCheckReport(True, (), max(1, int(dist.max())), float(path_prob.min()))
+
+
+def stay_or_go_instance() -> SspProblem:
+    """Minimal two-state instance with one proper and one improper policy.
+
+    State 0 is the only decision state, state 1 the terminal. Action 0
+    ("go") moves to the terminal for a cost of 2; action 1 ("stay")
+    self-loops for a cost of 1. Staying forever never terminates, so the
+    Bellman operator is not a contraction here, yet the optimal cost-to-go
+    of state 0 is 2.
+    """
+    # rows (state, action): (0, go), (0, stay), then the terminal's two self-loops
+    view = Transitions(2, row=[0, 1, 2, 3], to=[1, 0, 1, 1], prob=[1.0] * 4, cost=[2, 1, 0, 0])
+    return SspProblem(num_states=2, num_actions=2, terminal=1, transitions=view)
+
+
+class MonteCarloSteps(NamedTuple):
+    """Sample mean steps-to-termination with a 95% half-width.
+
+    Rollouts that hit the cap are counted in ``capped`` and excluded from
+    the mean; ``mean`` and ``ci95`` are NaN when nothing completed.
+    """
+
+    mean: float
+    ci95: float
+    completed: int
+    capped: int
+
+
+def monte_carlo_steps(
+    problem: SspProblem,
+    policy: Policy,
+    start: int,
+    trials: int,
+    seed: int,
+    cap: int = 10_000,
+) -> MonteCarloSteps:
+    """Estimate expected steps-to-termination by simulating rollouts.
+
+    The sampling oracle the steps bounds are checked against. Simulates all
+    trials as one batch against the policy's dense S x S chain, so it is
+    only usable on small instances; the result is deterministic for a
+    fixed seed. Rollouts still running after ``cap`` steps are reported in
+    ``capped`` and excluded from the mean.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    if not 0 <= start < problem.num_states:
+        raise IndexError(f"start state {start} out of range")
+    t = problem.terminal
+    if start == t:
+        return MonteCarloSteps(0.0, 0.0, trials, 0)
+
+    cumulative = policy_transition_matrix(problem, policy).cumsum(axis=1)
+    rng = np.random.default_rng(seed)
+    steps_taken = np.zeros(trials, dtype=int)
+    finished = np.zeros(trials, dtype=bool)
+    active = np.arange(trials)
+    state = np.full(trials, start, dtype=int)
+
+    for step in range(1, cap + 1):
+        draws = rng.random(active.size)
+        rows = cumulative[state]
+        nxt = (rows <= draws[:, None]).sum(axis=1)
+        np.minimum(nxt, problem.num_states - 1, out=nxt)
+        arrived = nxt == t
+        steps_taken[active[arrived]] = step
+        finished[active[arrived]] = True
+        active = active[~arrived]
+        state = nxt[~arrived]
+        if active.size == 0:
+            break
+
+    completed = int(finished.sum())
+    capped = trials - completed
+    if completed == 0:
+        return MonteCarloSteps(math.nan, math.nan, 0, capped)
+    samples = steps_taken[finished].astype(float)
+    mean = float(samples.mean())
+    ci95 = (
+        0.0
+        if completed < 2
+        else float(1.96 * samples.std(ddof=1) / math.sqrt(completed))
+    )
+    return MonteCarloSteps(mean, ci95, completed, capped)
 
 
 def _random_distribution(rng, targets, total=1.0):
@@ -167,24 +256,30 @@ def random_discounted(rng, num_states=5, num_actions=2):
     return transitions, costs
 
 
-def brute_force_optimal(problem: SspProblem) -> np.ndarray:
-    """Optimal values by evaluating every deterministic policy.
+def proper_policy_values(problem: SspProblem) -> list[tuple[DeterministicPolicy, np.ndarray]]:
+    """Every proper deterministic policy with its values, by enumeration.
 
     Improper policies are skipped (their cost is unbounded). Only usable
     on small instances.
     """
     nonterminal = [i for i in range(problem.num_states) if i != problem.terminal]
-    best = np.full(problem.num_states, np.inf)
+    found = []
     for combo in itertools.product(range(problem.num_actions), repeat=len(nonterminal)):
         actions = np.zeros(problem.num_states, dtype=int)
         for i, a in zip(nonterminal, combo):
             actions[i] = a
+        policy = DeterministicPolicy(actions=actions)
         try:
-            values = evaluate_policy(problem, DeterministicPolicy(actions=actions))
+            found.append((policy, evaluate_policy(problem, policy)))
         except ImproperPolicy:
             continue
-        best = np.minimum(best, values)
-    return best
+    return found
+
+
+def brute_force_optimal(problem: SspProblem) -> np.ndarray:
+    """Optimal values: the elementwise minimum over every proper deterministic policy."""
+    values = [v for _, v in proper_policy_values(problem)]
+    return np.min(values, axis=0, initial=np.inf)
 
 
 def random_values(rng, problem: SspProblem, low=-2.0, high=2.0) -> np.ndarray:
@@ -280,8 +375,7 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
     Keys: ``method`` (what ``auto`` resolves to), ``overridden``,
     ``nonpositive`` (offending (state, action, target) triples),
     ``min_terminal_cost`` and ``p_terminal`` (None without a transition
-    into the terminal), ``min_step_cost``, ``min_expected_step_cost`` and
-    ``p_nonterminal``.
+    into the terminal), ``min_step_cost`` and ``p_nonterminal``.
     """
     (prob, cost), t = dense(problem), problem.terminal
     steps = prob > 0.0
@@ -301,10 +395,6 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
     overridden = (mass_to_nonterminal == 0.0).all(axis=1)
     overridden[t] = False
 
-    masked_prob = np.where(steps, prob, 0.0)
-    mass = masked_prob.sum(axis=2)
-    expected = np.einsum("suj,suj->su", masked_prob, cost)
-    with_mass = mass > 0.0
     has_exit = into_terminal.any()
     return {
         "method": method,
@@ -313,10 +403,5 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
         "min_terminal_cost": float(cost[:, :, t][into_terminal].min()) if has_exit else None,
         "p_terminal": float(prob[:, :, t][into_terminal].min()) if has_exit else None,
         "min_step_cost": float(cost[steps].min()) if steps.any() else math.inf,
-        "min_expected_step_cost": (
-            float((expected[with_mass] / mass[with_mass]).min())
-            if with_mass.any()
-            else math.inf
-        ),
         "p_nonterminal": float(prob[steps].min()) if steps.any() else 1.0,
     }

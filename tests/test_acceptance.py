@@ -9,8 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_all_proper_ssp, random_proper_mixed_ssp, random_values
+from helpers import (
+    monte_carlo_steps,
+    random_all_proper_ssp,
+    random_proper_mixed_ssp,
+    random_values,
+    stay_or_go_instance,
+)
 from sspbounds import (
+    BoundsContext,
     bellman_backup,
     bellman_residual,
     build_gridworld,
@@ -21,13 +28,9 @@ from sspbounds import (
     immediate_termination_states,
     is_proper,
     is_uniformly_improvable,
-    monte_carlo_steps,
     policy_backup,
-    sandwich_bounds,
-    steps_bound_all_proper,
     steps_bound_from_horizon,
     steps_bound_positive_costs,
-    stochastic_policy_backup,
     termination_horizon,
     uniform_random_policy,
     value_iteration,
@@ -125,17 +128,19 @@ def test_criterion_5_sandwich_and_per_state_soundness():
         optimal, _ = value_iteration(
             problem, np.zeros(problem.num_states), epsilon=1e-12, max_iters=100_000
         )
-        steps = steps_bound_all_proper(problem)
+        context = BoundsContext.for_problem(problem, "all-proper")
         values = evaluate_policy(problem, uniform_random_policy(problem))
         for _ in range(5):
             values = bellman_backup(problem, values)
-            stats = bellman_residual(problem, values)
-            lower, upper = sandwich_bounds(problem, values, steps, steps)
+            bounds = context.report(values)
+            # the envelope J + c- N <= J* <= J_greedy <= J + c+ N, from the report
+            lower = values + bounds.min_change * bounds.steps_bound
+            upper = values + bounds.max_change * bounds.steps_bound
             greedy_values = evaluate_policy(problem, greedy_policy(problem, values))
             assert (lower <= optimal + 1e-8).all()
             assert (optimal <= greedy_values + 1e-8).all()
             assert (greedy_values <= upper + 1e-8).all()
-            assert (np.abs(optimal - values) <= stats.residual * steps + 1e-8).all()
+            assert (np.abs(optimal - values) <= bounds.per_state_bound + 1e-8).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(5, "500 all-proper instances: sandwich and per-state bounds hold to 1e-8", elapsed)
@@ -163,8 +168,6 @@ def test_criterion_6_steps_bound_dominates_rollouts():
 
 
 def test_criterion_7_horizon_certificates():
-    from sspbounds import stay_or_go_instance
-
     two_state = stay_or_go_instance()
     certificate = termination_horizon(two_state, np.array([2.0, 0.0]))
     assert certificate.m == 2
@@ -222,8 +225,6 @@ def test_criterion_8_structural_checks():
         problem = instances[index]
         policy = uniform_random_policy(problem)
         values = evaluate_policy(problem, policy)
-        residual = np.abs(
-            stochastic_policy_backup(problem, policy, values) - values
-        ).max()
+        residual = np.abs(policy_backup(problem, policy, values) - values).max()
         assert residual <= 1e-10
     report(8, "monotonicity, closure, exact greedy consistency, 1e-10 fixed points")

@@ -8,7 +8,10 @@ import pytest
 from helpers import (
     dense,
     brute_force_optimal,
+    monte_carlo_steps,
+    proper_policy_values,
     random_all_proper_ssp,
+    random_discounted,
     random_proper_mixed_ssp,
     random_values,
     reference_action_values,
@@ -16,6 +19,7 @@ from helpers import (
     reference_horizon,
     reference_is_proper,
     reference_kernel_facts,
+    stay_or_go_instance,
 )
 from sspbounds import (
     BoundsContext,
@@ -25,15 +29,14 @@ from sspbounds import (
     all_policies_proper,
     bellman_backup,
     bellman_residual,
+    build_gridworld,
     compute_bounds_report,
     evaluate_policy,
     from_discounted,
     greedy_policy,
     immediate_termination_states,
     is_proper,
-    monte_carlo_steps,
     resolve_method,
-    sandwich_bounds,
     steps_bound_all_proper,
     steps_bound_from_horizon,
     steps_bound_positive_costs,
@@ -45,7 +48,6 @@ from sspbounds import (
 from sspbounds.bounds import _kernel_facts
 from sspbounds.errors import (
     HorizonCapExceeded,
-    InfiniteStepsBound,
     NonpositiveCost,
     NotAllPoliciesProper,
     NoTerminalTransition,
@@ -150,11 +152,18 @@ class TestOverrides:
             assert result.ci95 == 0.0
 
 
+def report_envelope(values, report):
+    """The report's two-sided envelope J + c- N <= J* <= J_greedy <= J + c+ N."""
+    steps = report.steps_bound
+    return values + report.min_change * steps, values + report.max_change * steps
+
+
 class TestSandwichBounds:
     def test_collapses_at_fixed_point(self, stay_go):
         optimal = np.array([2.0, 0.0])
-        steps = np.array([1.0, 0.0])
-        lower, upper = sandwich_bounds(stay_go, optimal, steps, steps)
+        report = compute_bounds_report(stay_go, optimal)
+        assert report.min_change == report.max_change == 0.0
+        lower, upper = report_envelope(optimal, report)
         assert np.array_equal(lower, optimal)
         assert np.array_equal(upper, optimal)
 
@@ -173,29 +182,14 @@ class TestSandwichBounds:
         for _ in range(30):
             problem = random_all_proper_ssp(rng, max_states=5)
             optimal = brute_force_optimal(problem)
-            steps = steps_bound_all_proper(problem)
             values = evaluate_policy(problem, uniform_random_policy(problem))
             for _ in range(3):
                 values = bellman_backup(problem, values)
             greedy_values = evaluate_policy(problem, greedy_policy(problem, values))
-            lower, upper = sandwich_bounds(problem, values, steps, steps)
+            lower, upper = report_envelope(values, compute_bounds_report(problem, values, "all-proper"))
             assert (lower <= optimal + 1e-8).all()
             assert (optimal <= greedy_values + 1e-8).all()
             assert (greedy_values <= upper + 1e-8).all()
-
-    def test_infinite_steps_with_nonzero_extreme_rejected(self, stay_go):
-        values = np.zeros(2)  # max change is +1 at the decision state
-        finite = np.array([1.0, 0.0])
-        infinite = np.array([math.inf, 0.0])
-        with pytest.raises(InfiniteStepsBound):
-            sandwich_bounds(stay_go, values, finite, infinite)
-
-    def test_infinite_steps_with_zero_extreme_allowed(self, stay_go):
-        optimal = np.array([2.0, 0.0])
-        infinite = np.array([math.inf, 0.0])
-        lower, upper = sandwich_bounds(stay_go, optimal, infinite, infinite)
-        assert np.array_equal(lower, optimal)
-        assert np.array_equal(upper, optimal)
 
 
 class TestPerStateAndGlobal:
@@ -290,31 +284,6 @@ class TestStepsBoundPositiveCosts:
             steps = steps_bound_positive_costs(problem, values)
         assert steps[0] == 1.0
         assert any("clamping" in rec.message for rec in caplog.records)
-
-    def test_expected_cost_refinement_tightens(self):
-        prob = np.zeros((3, 2, 3))
-        cost = np.zeros_like(prob)
-        prob[0, 0, 1] = 0.5
-        cost[0, 0, 1] = 0.2
-        prob[0, 0, 0] = 0.5
-        cost[0, 0, 0] = 0.8
-        prob[0, 1, 2] = 1.0
-        cost[0, 1, 2] = 1.0
-        prob[1, :, 2] = 1.0
-        cost[1, :, 2] = 1.0
-        prob[2, :, 2] = 1.0
-        problem = SspProblem(num_states=3, num_actions=2, terminal=2, prob=prob, cost=cost)
-        # value of "loop via action 0 at state 0, then exit": J(0) solves
-        # J(0) = 0.5(0.2 + 1.0) + 0.5(0.8 + J(0)), i.e. J(0) = 2
-        values = np.array([2.0, 1.0, 0.0])
-        raw = steps_bound_positive_costs(problem, values)
-        refined = steps_bound_positive_costs(problem, values, refine_step_cost=True)
-        # cheapest single step is 0.2 but the cheapest expected step is 0.5
-        assert raw[0] == pytest.approx(6.0, abs=1e-12)
-        assert refined[0] == pytest.approx(3.0, abs=1e-12)
-        assert (refined[:2] <= raw[:2]).all()
-        assert (refined[:2] >= 1.0).all()
-
 
 class TestStepsBoundAllProper:
     def test_discounted_reduction_gives_horizon(self):
@@ -432,8 +401,6 @@ class TestTerminationHorizon:
 
 def horizon_oracle_cases():
     """(name, problem, values) triples the horizon search is checked on."""
-    from sspbounds import build_gridworld, stay_or_go_instance
-
     grid = build_gridworld()
     uniform = evaluate_policy(grid, uniform_random_policy(grid))
     optimal, _ = value_iteration(grid, uniform, epsilon=1e-12, max_iters=100_000)
@@ -485,8 +452,6 @@ class TestHorizonOracle:
 
 def kernel_oracle_cases():
     """(name, problem) pairs the view-based structural facts are checked on."""
-    from sspbounds import build_gridworld, stay_or_go_instance
-
     cases = [
         ("grid", build_gridworld()),
         ("stay-or-go", stay_or_go_instance()),
@@ -517,9 +482,6 @@ class TestKernelFactsOracle:
             assert np.array_equal(facts.counted, counted), name
             for key in ("min_terminal_cost", "p_terminal", "min_step_cost", "p_nonterminal"):
                 assert getattr(facts, key) == expected[key], (name, key)
-            assert facts.min_expected_step_cost == pytest.approx(
-                expected["min_expected_step_cost"], rel=1e-12, abs=0.0
-            ), name
 
     def test_same_errors(self):
         for name, problem in kernel_oracle_cases():
@@ -658,6 +620,51 @@ class TestMonteCarloSteps:
             monte_carlo_steps(stay_go, policy, 0, trials=0, seed=1)
         with pytest.raises(IndexError):
             monte_carlo_steps(stay_go, policy, 5, trials=10, seed=1)
+
+
+def soundness_sweep_instances():
+    """(method, problem) pairs of seeded random instances, one per family and round.
+
+    The method is the one ``auto`` picks for the family: positive step
+    costs for the mixed-sign family, all-proper for the other two.
+    """
+    rng = np.random.default_rng(2012)
+    for _ in range(40):
+        yield "positive-cost", random_proper_mixed_ssp(rng, max_states=5, max_actions=3)
+        yield "all-proper", random_all_proper_ssp(rng, max_states=5, max_actions=3)
+        discounted = random_discounted(
+            rng, num_states=int(rng.integers(1, 5)), num_actions=int(rng.integers(1, 4))
+        )
+        yield "all-proper", from_discounted(*discounted, beta=float(rng.uniform(0.5, 0.95)))
+
+
+class TestSoundnessSweep:
+    """Every method's bounds hold against brute force on seeded random instances."""
+
+    def test_all_methods_against_brute_force(self):
+        reports = policies_checked = 0
+        for method, problem in soundness_sweep_instances():
+            proper = proper_policy_values(problem)
+            optimal = np.min([v for _, v in proper], axis=0)
+            contexts = [
+                BoundsContext.for_problem(problem, method),
+                BoundsContext.for_problem(problem, "general"),
+            ]
+            values = evaluate_policy(problem, uniform_random_policy(problem))
+            for _ in range(3):
+                for context in contexts:
+                    bounds = context.report(values).per_state_bound
+                    assert (np.abs(values - optimal) <= bounds + 1e-8).all(), method
+                    reports += 1
+                # every policy no costlier than J terminates within the certificate's m
+                m = termination_horizon(problem, values).m
+                for policy, policy_values in proper:
+                    if (policy_values <= values + 1e-9).all():
+                        assert is_proper(problem, policy).m_stages <= m
+                        policies_checked += 1
+                values = bellman_backup(problem, values)
+        assert reports == 720
+        assert policies_checked > 1000
 
 
 class TestMonotoneTightening:

@@ -1,11 +1,12 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import dense, random_all_proper_ssp, random_proper_mixed_ssp
+from helpers import dense, random_all_proper_ssp, random_proper_mixed_ssp, stay_or_go_instance
 from sspbounds import (
     GridSpec,
     SspProblem,
@@ -20,7 +21,6 @@ from sspbounds import (
     steps_bound_all_proper,
     steps_bound_from_horizon,
     steps_bound_positive_costs,
-    stay_or_go_instance,
     termination_horizon,
     uniform_random_policy,
     value_iteration,
@@ -163,7 +163,9 @@ class TestSolve:
 class TestValuesFile:
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize(
-        "values", [["a", 0], [10**400, 0], [1.0], [2.0, 1.0], [None, 0], {"a": 1}, "2,0"]
+        "values",
+        [["a", 0], [10**400, 0], [1.0], [2.0, 1.0], [None, 0], {"a": 1}, "2,0", ["2.5", 0],
+         [True, 0]],
     )
     def test_malformed_values_exit_two(self, stay_go_file, tmp_path, capsys, command, values):
         path = tmp_path / "bad.json"
@@ -433,6 +435,20 @@ class TestCheck:
         assert certificate["m"] > 0
         # one entry per state, whatever m
         assert len(certificate["joined_at"]) == len(certificate["values"]) == 12
+
+    def test_reward_file_certificate_is_in_cost_form(self, grid, tmp_path, capsys):
+        golden = str(Path(__file__).parent / "data" / "gridworld.json")
+        uniform = evaluate_policy(grid, uniform_random_policy(grid))
+        init = values_file(tmp_path, "uniform.json", (-uniform).tolist())  # reward form
+        assert main(["check", "--input", golden, "--values", init]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["convention"] == "reward"
+        certificate = payload["horizon_certificate"]
+        # the +1 exit's reward, negated: the cheapest transition into the terminal costs -1
+        assert certificate["min_terminal_cost"] == -1.0
+        # avoidance costs: each stage outside the inevitable set pays the 0.04 step cost
+        avoidance = [v for v in certificate["values"] if v is not None]
+        assert avoidance and all(v > 0.0 for v in avoidance)
 
     def test_one_backup_gives_verdict_and_certificate(
         self, grid_reward_file, grid, tmp_path, capsys, monkeypatch

@@ -1,17 +1,22 @@
+import math
 
 import numpy as np
 import pytest
 
-from helpers import dense, random_all_proper_ssp, random_discounted, random_proper_mixed_ssp
+from helpers import (
+    dense,
+    monte_carlo_steps,
+    random_all_proper_ssp,
+    random_discounted,
+    random_proper_mixed_ssp,
+)
 from sspbounds import (
     DeterministicPolicy,
     SspProblem,
     StochasticPolicy,
-    expected_cost,
+    action_values,
     from_discounted,
     load_problem,
-    monte_carlo_steps,
-    negate_costs,
     policy_cost_vector,
     policy_transition_matrix,
     save_problem,
@@ -143,31 +148,27 @@ class TestValidate:
                     validate(mutated)
 
 
+def expected_costs(problem):
+    """One-step expected cost of every (state, action): the backup of J = 0."""
+    return action_values(problem, np.zeros(problem.num_states))
+
+
 class TestExpectedCost:
     def test_terminal_state_is_free(self, grid):
-        for u in range(grid.num_actions):
-            assert expected_cost(grid, grid.terminal, u) == 0.0
+        assert (expected_costs(grid)[grid.terminal] == 0.0).all()
 
     def test_stay_action_costs_one(self, stay_go):
-        assert expected_cost(stay_go, 0, 1) == 1.0
-        assert expected_cost(stay_go, 0, 0) == 2.0
+        assert expected_costs(stay_go)[0, 1] == 1.0
+        assert expected_costs(stay_go)[0, 0] == 2.0
 
     def test_gridworld_movement_costs(self, grid):
-        for action in range(grid.num_actions):
-            assert expected_cost(grid, 0, action) == pytest.approx(0.04, abs=1e-12)
-
-    def test_out_of_range(self, stay_go):
-        with pytest.raises(IndexError):
-            expected_cost(stay_go, 5, 0)
-        with pytest.raises(IndexError):
-            expected_cost(stay_go, 0, 7)
+        assert expected_costs(grid)[0] == pytest.approx(np.full(4, 0.04), abs=1e-12)
 
     def test_terminal_free_on_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             problem = random_proper_mixed_ssp(rng)
-            for u in range(problem.num_actions):
-                assert expected_cost(problem, problem.terminal, u) == 0.0
+            assert (expected_costs(problem)[problem.terminal] == 0.0).all()
 
 
 class TestFromDiscounted:
@@ -224,21 +225,32 @@ class TestFromDiscounted:
             from_discounted([[[0.7]]], [[[0.0]]], beta=0.9)
 
 
+def reward_records(problem) -> dict:
+    """The reward-form file's cost fields, keyed by (from, action, to)."""
+    records = problem_to_json_dict(problem, convention="reward")["transitions"]
+    return {(r["from"], r["action"], r["to"]): r["cost"] for r in records}
+
+
 class TestNegateCosts:
+    """Reward-form files: the writer negates the costs and the loader negates them back."""
+
     def test_terminal_self_loop_stays_zero(self, stay_go):
-        negated = negate_costs(stay_go)
-        assert dense(negated).cost[1, 0, 1] == 0.0
-        validate(negated)
+        loops = [g for (i, _, _), g in reward_records(stay_go).items() if i == stay_go.terminal]
+        assert loops == [0.0, 0.0]
+        assert all(math.copysign(1.0, g) == 1.0 for g in loops)
+        loaded, _ = problem_from_json_dict(problem_to_json_dict(stay_go, convention="reward"))
+        assert dense(loaded).cost[1, 0, 1] == 0.0  # and it validated
 
     def test_gridworld_sign_flip(self, grid):
-        negated = negate_costs(grid)
-        assert dense(negated).cost[0, 2, 1] == pytest.approx(-0.04)
-        assert dense(negated).cost[3, 0, grid.terminal] == 1.0
+        rewards = reward_records(grid)
+        assert rewards[(0, 2, 1)] == pytest.approx(-0.04)
+        assert rewards[(3, 0, grid.terminal)] == 1.0
 
     def test_double_negation_is_bit_identical(self, grid):
-        twice = negate_costs(negate_costs(grid))
-        assert dense(twice).cost.tobytes() == dense(grid).cost.tobytes()
-        assert dense(twice).prob.tobytes() == dense(grid).prob.tobytes()
+        loaded, convention = problem_from_json_dict(problem_to_json_dict(grid, convention="reward"))
+        assert convention == "reward"
+        assert dense(loaded).cost.tobytes() == dense(grid).cost.tobytes()
+        assert dense(loaded).prob.tobytes() == dense(grid).prob.tobytes()
 
 
 class TestPolicies:
@@ -321,7 +333,11 @@ class TestJsonFiles:
         go, stay = records[0], records[1]
         far = dict(go, to=9)
         broken = dict(go, prob="often")
+        flag = dict(go, cost=True)
         cases = [
+            # a record of the wrong types counts like any malformed record
+            ([go, flag, dict(stay), dict(go)], f"malformed transition record {flag!r}"),
+            ([go, stay, dict(stay), flag], "duplicate transition record for (from=0, action=1, to=0)"),
             ([go, stay, dict(go)], "duplicate transition record for (from=0, action=0, to=1)"),
             # the first offending record in file order is reported
             ([go, stay, dict(stay), dict(go)], "duplicate transition record for (from=0, action=1, to=0)"),
@@ -336,6 +352,38 @@ class TestJsonFiles:
             with pytest.raises(ProblemFormatError) as info:
                 problem_from_json_dict(data)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("from", 0.7), ("to", True), ("action", "0"), ("from", None), ("prob", "1.0"),
+         ("cost", True), ("prob", None), ("cost", [1.0])],
+    )
+    def test_record_field_types_rejected(self, stay_go, field, value):
+        data = problem_to_json_dict(stay_go)
+        data["transitions"][0][field] = value
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(data)
+        assert str(info.value).startswith("malformed transition record")
+
+    @pytest.mark.parametrize(
+        "field, value", [("num_states", 2.9), ("num_actions", True), ("terminal", "1")]
+    )
+    def test_size_field_types_rejected(self, stay_go, field, value):
+        data = problem_to_json_dict(stay_go)
+        data[field] = value
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(data)
+        assert str(info.value).startswith("malformed size field")
+
+    def test_integral_floats_and_integer_numbers_accepted(self, stay_go):
+        data = problem_to_json_dict(stay_go)
+        data["num_states"], data["terminal"] = 2.0, 1.0
+        data["transitions"][0].update({"from": 0.0, "to": 1.0, "prob": 1, "cost": 2})
+        problem, _ = problem_from_json_dict(data)
+        for field in ("row", "to", "prob", "cost"):
+            assert np.array_equal(
+                getattr(problem.transitions, field), getattr(stay_go.transitions, field)
+            )
 
     def test_missing_field_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)

@@ -20,10 +20,10 @@ from sspbounds import (
     is_uniformly_improvable,
     policy_backup,
     policy_iteration,
-    stochastic_policy_backup,
     uniform_random_policy,
     value_iteration,
 )
+from sspbounds.dp import trace_csv
 from sspbounds.errors import ImproperPolicy, MaxItersExceeded
 from sspbounds.gridworld import EXPECTED_TABLE2
 
@@ -62,9 +62,7 @@ class TestBackups:
         assert backed[1] == 0.0
 
     def test_stochastic_uniform_backup(self, stay_go):
-        backed = stochastic_policy_backup(
-            stay_go, uniform_random_policy(stay_go), np.zeros(2)
-        )
+        backed = policy_backup(stay_go, uniform_random_policy(stay_go), np.zeros(2))
         assert backed[0] == 1.5
         assert backed[1] == 0.0
 
@@ -77,9 +75,7 @@ class TestBackups:
             weights[np.arange(problem.num_states), actions] = 1.0
             values = random_values(rng, problem)
             det = policy_backup(problem, DeterministicPolicy(actions=actions), values)
-            sto = stochastic_policy_backup(
-                problem, StochasticPolicy(weights=weights), values
-            )
+            sto = policy_backup(problem, StochasticPolicy(weights=weights), values)
             assert np.allclose(det, sto, atol=1e-13)
 
     def test_greedy_backup_consistency_is_exact(self, grid):
@@ -205,9 +201,7 @@ class TestEvaluatePolicy:
         assert rewards == pytest.approx(EXPECTED_TABLE2[0].values, abs=0.01)
 
     def test_fixed_point_residual_below_tolerance(self, grid, grid_uniform_values):
-        backed = stochastic_policy_backup(
-            grid, uniform_random_policy(grid), grid_uniform_values
-        )
+        backed = policy_backup(grid, uniform_random_policy(grid), grid_uniform_values)
         assert np.abs(backed - grid_uniform_values).max() <= 1e-10
 
     def test_fixed_point_residual_on_random_instances(self):
@@ -216,7 +210,7 @@ class TestEvaluatePolicy:
             problem = random_all_proper_ssp(rng)
             policy = uniform_random_policy(problem)
             values = evaluate_policy(problem, policy)
-            backed = stochastic_policy_backup(problem, policy, values)
+            backed = policy_backup(problem, policy, values)
             assert np.abs(backed - values).max() <= 1e-10
 
 
@@ -322,10 +316,19 @@ class TestOracleEquivalence:
             assert np.abs(vi_values - brute).max() <= 1e-8
 
 
+def trace_rows(trace, j_under, m=None):
+    """(iter, J_under, m, residual, error) rows of a trace, error left blank."""
+    m = m or [None] * len(trace)
+    return [
+        (rec.iteration, j, mk, rec.residual, None)
+        for rec, j, mk in zip(trace.records, j_under, m)
+    ]
+
+
 class TestTraceCsv:
     def test_columns_and_blanks(self, stay_go):
         _, trace = value_iteration(stay_go, np.zeros(2), epsilon=1e-9)
-        text = trace.to_csv(j_under=[0.0, 1.0, 2.0], m=[None, 1.5, 2.5], error=None)
+        text = trace_csv(trace_rows(trace, [0.0, 1.0, 2.0], [None, 1.5, 2.5]))
         lines = text.strip().split("\n")
         assert lines[0] == "iter,J_under,m,residual,error"
         assert lines[1] == "0,0,,,"
@@ -334,5 +337,5 @@ class TestTraceCsv:
 
     def test_six_significant_digits(self, stay_go):
         _, trace = value_iteration(stay_go, np.zeros(2), epsilon=1e-9)
-        text = trace.to_csv(j_under=[0.123456789, 0.0, 0.0])
+        text = trace_csv(trace_rows(trace, [0.123456789, 0.0, 0.0]))
         assert "0.123457" in text

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from helpers import dense, random_proper_mixed_ssp
+from helpers import dense, monte_carlo_steps, random_proper_mixed_ssp
 from sspbounds import (
     DeterministicPolicy,
     all_policies_proper,
@@ -11,7 +11,6 @@ from sspbounds import (
     greedy_policy,
     is_proper,
     is_uniformly_improvable,
-    monte_carlo_steps,
     uniform_random_policy,
 )
 
