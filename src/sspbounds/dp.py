@@ -24,7 +24,7 @@ from .core import (
     check_policy,
     check_values,
     policy_cost_vector,
-    policy_transition_matrix,
+    policy_entry_probs,
 )
 from .errors import (
     ImproperPolicy,
@@ -42,6 +42,12 @@ IMPROVABLE_TOL = 1e-9
 # Exact policy evaluation refines its solution until the fixed-point
 # residual is at most this.
 EVAL_RESIDUAL_TOL = 1e-10
+
+# Policy evaluation factors its linear system as a sparse matrix (scipy's
+# splu) from this many nonterminal states on, and densely (LAPACK) below:
+# the measured break-even of policy iteration on open gridworlds, where
+# splu's own cost and scipy's import (0.2-0.3 s) are repaid.
+SPARSE_SOLVE_STATES = 700
 
 # Policy iteration also stops when two successive value functions agree to
 # this tolerance, guarding against cycling among equal-value policies.
@@ -216,12 +222,53 @@ def value_iteration(
     )
 
 
+def _policy_system(problem: SspProblem, policy: Policy):
+    """The system I - P over the nonterminal states and a solver for it.
+
+    Returns ``(system, solve)``: ``system @ x`` applies the system and
+    ``solve(b)`` solves it. Below ``SPARSE_SOLVE_STATES`` nonterminal
+    states the system is a dense array, bitwise ``np.eye(m) - P``, solved
+    by LAPACK; from there on a sparse matrix, factored once by ``splu``,
+    which raises ``RuntimeError`` when the system is singular.
+    """
+    view, t = problem.transitions, problem.terminal
+    m = problem.num_states - 1
+    weights = policy_entry_probs(problem, policy)
+    states = view.row // problem.num_actions
+    keep = (weights != 0.0) & (states != t) & (view.to != t)
+    # positions among the nonterminal states
+    i, j = states[keep], view.to[keep]
+    i, j, weights = i - (i > t), j - (j > t), weights[keep]
+    if m < SPARSE_SOLVE_STATES:
+        # 0.0 - sum, then +1 on the diagonal: the rounding of np.eye(m) - P
+        system = 0.0 - np.bincount(i * m + j, weights, minlength=m * m).reshape(m, m)
+        system.flat[:: m + 1] += 1.0
+        return system, lambda rhs: np.linalg.solve(system, rhs)
+    # a load-time import would cost 0.2-0.3 s on runs that never get here
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    diagonal = np.arange(m)
+    system = csc_matrix(
+        (
+            np.concatenate((-weights, np.ones(m))),
+            (np.concatenate((i, diagonal)), np.concatenate((j, diagonal))),
+        ),
+        shape=(m, m),
+    )
+    return system, splu(system).solve
+
+
 def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
     """Exact cost-to-go of a proper policy.
 
-    Solves the linear system (I - P) J = g restricted to nonterminal
+    Solves the linear system (I - P) J = g restricted to the m nonterminal
     states, where P and g are the policy's transition kernel and one-step
     costs, then refines until the fixed-point residual is at most 1e-10.
+    The system is built from the stored entries in O(nnz). For m below
+    ``SPARSE_SOLVE_STATES`` it is a dense array solved by LAPACK; from
+    there on it is a sparse matrix whose ``splu`` factors are computed once
+    and reused by every refinement round (scipy is imported only then).
 
     Raises :class:`ImproperPolicy` when the terminal state is unreachable
     from some state, and :class:`SingularSystem` if the solve fails
@@ -231,23 +278,18 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
     if not report.proper:
         raise ImproperPolicy(report.unreachable_states)
 
-    kernel = policy_transition_matrix(problem, policy)
-    one_step = policy_cost_vector(problem, policy)
     nt = problem.nonterminal
-    system = np.eye(len(nt)) - kernel[np.ix_(nt, nt)]
-    rhs = one_step[nt]
-
+    rhs = policy_cost_vector(problem, policy)[nt]
     values = np.zeros(problem.num_states)
     try:
-        solution = np.linalg.solve(system, rhs)
-        values[nt] = solution
+        system, solve = _policy_system(problem, policy)
+        values[nt] = solve(rhs)
         for _ in range(5):
             residual = np.abs(policy_backup(problem, policy, values) - values).max()
             if residual <= EVAL_RESIDUAL_TOL:
                 return values
-            correction = np.linalg.solve(system, rhs - system @ values[nt])
-            values[nt] += correction
-    except np.linalg.LinAlgError as exc:
+            values[nt] += solve(rhs - system @ values[nt])
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}") from exc
     residual = np.abs(policy_backup(problem, policy, values) - values).max()
     if residual > EVAL_RESIDUAL_TOL:

@@ -24,13 +24,14 @@ values and steps bounds under policy iteration.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BoundsContext, steps_bound_positive_costs
-from .core import SspProblem
+from .core import SspProblem, Transitions
 from .dp import csv_cell, evaluate_policy, policy_iteration, value_iteration
 from .properness import uniform_random_policy
 
@@ -95,8 +96,21 @@ def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
     terminal = len(cells)
     num_actions = len(DIRECTIONS)
 
-    prob = np.zeros((num_states, num_actions, num_states))
-    cost = np.zeros_like(prob)
+    # the entries, in typed arrays of 8 bytes per field
+    rows, tos, probs, costs = array("q"), array("q"), array("d"), array("d")
+
+    def add(state: int, action: int, targets, g: float) -> None:
+        """Append one (state, action) row: ``targets`` are (to, probability) pairs."""
+        # a bump and a slip can land on the same cell: one entry, whose
+        # probability adds up in move, slip, slip order
+        merged: dict[int, float] = {}
+        for j, p in targets:
+            merged[j] = merged.get(j, 0.0) + p
+        for j, p in merged.items():
+            rows.append(state * num_actions + action)
+            tos.append(j)
+            probs.append(p)
+            costs.append(g)
 
     def destination(cell: tuple[int, int], action: int) -> tuple[int, int]:
         row, col = cell
@@ -109,8 +123,8 @@ def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
 
     for cell, i in index.items():
         if cell in spec.exits:
-            prob[i, :, terminal] = 1.0
-            cost[i, :, terminal] = -spec.exits[cell]
+            for action in range(num_actions):
+                add(i, action, [(terminal, 1.0)], -spec.exits[cell])
             continue
         for action in range(num_actions):
             targets = [(destination(cell, action), spec.move_prob)]
@@ -118,18 +132,11 @@ def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
                 redirected = spec.slip_redirects.get((cell, action, slip))
                 landing = redirected if redirected else destination(cell, slip)
                 targets.append((landing, spec.slip_prob))
-            for landing, weight in targets:
-                j = index[landing]
-                prob[i, action, j] += weight
-                cost[i, action, j] = -spec.step_reward
-    prob[terminal, :, terminal] = 1.0
-    return SspProblem(
-        num_states=num_states,
-        num_actions=num_actions,
-        terminal=terminal,
-        prob=prob,
-        cost=cost,
-    )
+            add(i, action, [(index[c], w) for c, w in targets], -spec.step_reward)
+    for action in range(num_actions):
+        add(terminal, action, [(terminal, 1.0)], 0.0)
+    view = Transitions.from_entries(num_states, rows, tos, probs, costs)
+    return SspProblem(num_states, num_actions, terminal, transitions=view)
 
 
 class Table1Row(NamedTuple):

@@ -8,7 +8,12 @@ import pytest
 from helpers import (
     dense,
     brute_force_optimal,
+    delay_or_exit_instance,
+    free_delay_instance,
+    kernel_oracle_cases,
+    lazy_chain_instance,
     monte_carlo_steps,
+    no_exit_instance,
     proper_policy_values,
     random_all_proper_ssp,
     random_discounted,
@@ -65,63 +70,6 @@ def chain_instance(length=3, step_cost=1.0):
         cost[i, 0, i + 1] = step_cost
     prob[length, 0, length] = 1.0
     return SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
-
-
-def delay_or_exit_instance():
-    """Two decision states; costs mixed in sign, improper policies exist.
-
-    State 0 moves to state 1 for -0.25; state 1 either exits for 1.0 or
-    loops back to 0 for 1.0. Cycling costs 0.75 per lap, so delaying
-    forever diverges. Values of the exit-now policy: J = (0.75, 1.0, 0).
-    """
-    prob = np.zeros((3, 2, 3))
-    cost = np.zeros_like(prob)
-    prob[0, :, 1] = 1.0
-    cost[0, :, 1] = -0.25
-    prob[1, 0, 2] = 1.0
-    cost[1, 0, 2] = 1.0
-    prob[1, 1, 0] = 1.0
-    cost[1, 1, 0] = 1.0
-    prob[2, :, 2] = 1.0
-    return SspProblem(num_states=3, num_actions=2, terminal=2, prob=prob, cost=cost)
-
-
-def lazy_chain_instance(length=110, advance=2.0**-10):
-    """One-action chain that advances with probability ``advance`` per step.
-
-    Each step costs 1, so J(i) = (i + 1) / advance exactly (TJ = J).
-    Returns the instance and that J.
-    """
-    n = length + 1
-    prob = np.zeros((n, 1, n))
-    for i in range(length):
-        prob[i, 0, i] = 1.0 - advance
-        prob[i, 0, i - 1 if i else length] = advance
-    prob[length, 0, length] = 1.0
-    cost = np.where(prob > 0.0, 1.0, 0.0)
-    cost[length] = 0.0
-    problem = SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
-    return problem, np.append(np.arange(1, length + 1) / advance, 0.0)
-
-
-def free_delay_instance():
-    """A zero-cost self-loop lets policies stall forever at no cost."""
-    prob = np.zeros((2, 2, 2))
-    cost = np.zeros_like(prob)
-    prob[0, 0, 0] = 1.0
-    prob[0, 1, 1] = 1.0
-    prob[1, :, 1] = 1.0
-    return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
-
-
-def no_exit_instance():
-    """A state that can only loop on itself at cost 1: no move enters the terminal."""
-    prob = np.zeros((2, 1, 2))
-    prob[0, 0, 0] = 1.0
-    prob[1, 0, 1] = 1.0
-    cost = np.zeros_like(prob)
-    cost[0, 0, 0] = 1.0
-    return SspProblem(num_states=2, num_actions=1, terminal=1, prob=prob, cost=cost)
 
 
 class TestOverrides:
@@ -448,23 +396,6 @@ class TestHorizonOracle:
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         with pytest.raises(IndexError):
             certificate.inevitable_at(certificate.last_stage + 1)
-
-
-def kernel_oracle_cases():
-    """(name, problem) pairs the view-based structural facts are checked on."""
-    cases = [
-        ("grid", build_gridworld()),
-        ("stay-or-go", stay_or_go_instance()),
-        ("free-delay", free_delay_instance()),
-        ("lazy-chain", lazy_chain_instance()[0]),
-        ("delay-or-exit", delay_or_exit_instance()),
-        ("no-exit", no_exit_instance()),
-    ]
-    rng = np.random.default_rng(101)
-    for k in range(20):
-        cases.append((f"mixed-{k}", random_proper_mixed_ssp(rng)))
-        cases.append((f"all-proper-{k}", random_all_proper_ssp(rng)))
-    return cases
 
 
 class TestKernelFactsOracle:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -64,6 +67,22 @@ class TestSolve:
         row3 = lines[4].split(",")
         assert float(row3[1]) == pytest.approx(0.388, abs=0.01)
         assert float(row3[2]) == pytest.approx(16.3, abs=0.1)
+
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_small_solve_leaves_scipy_unloaded(self, grid_reward_file, algorithm, tmp_path):
+        # only the sparse policy solve imports scipy, which would add 0.2-0.3 s
+        # to every run if it were imported with the package
+        script = (
+            "import sys; from sspbounds.cli import main; "
+            "print(main(sys.argv[1:]), 'scipy' in sys.modules)"
+        )
+        argv = ["solve", "--input", grid_reward_file, "--algorithm", algorithm,
+                "--output", str(tmp_path / "trace.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
     def test_zero_init_fails_when_not_improvable(self, stay_go_file, capsys):
         code = main(["solve", "--input", stay_go_file, "--init", "zero"])

@@ -1,15 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from helpers import (
     brute_force_optimal,
+    delay_or_exit_instance,
     dense,
+    free_delay_instance,
+    kernel_oracle_cases,
     random_all_proper_ssp,
     random_proper_mixed_ssp,
     random_values,
 )
 from sspbounds import (
     DeterministicPolicy,
+    ProperCheckReport,
+    SspProblem,
     StochasticPolicy,
     action_values,
     bellman_backup,
@@ -23,9 +31,22 @@ from sspbounds import (
     uniform_random_policy,
     value_iteration,
 )
+from sspbounds import dp
+from sspbounds.core import Transitions
 from sspbounds.dp import trace_csv
-from sspbounds.errors import ImproperPolicy, MaxItersExceeded
-from sspbounds.gridworld import EXPECTED_TABLE2
+from sspbounds.errors import ImproperPolicy, MaxItersExceeded, SingularSystem
+from sspbounds.gridworld import (
+    EXPECTED_TABLE1_PI,
+    EXPECTED_TABLE1_VI,
+    EXPECTED_TABLE2,
+    compare_table1,
+    compare_table2,
+    run_table1,
+    run_table2,
+)
+
+# SPARSE_SOLVE_STATES values that force each factorization of the policy system
+SOLVE_PATHS = {"dense": sys.maxsize, "sparse": 0}
 
 
 def go_policy():
@@ -212,6 +233,127 @@ class TestEvaluatePolicy:
             values = evaluate_policy(problem, policy)
             backed = policy_backup(problem, policy, values)
             assert np.abs(backed - values).max() <= 1e-10
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Records the size of every system ``splu`` factors."""
+    calls = []
+    factor = scipy.sparse.linalg.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return calls
+
+
+class TestSolvePaths:
+    """The dense (LAPACK) and sparse (splu) policy solves agree."""
+
+    def test_policy_iteration_agrees(self, monkeypatch, splu_calls):
+        # no policy of the no-exit loop is proper, and policy iteration on
+        # free-delay improves to its improper free stall
+        cases = [c for c in kernel_oracle_cases() if c[0] not in ("no-exit", "free-delay")]
+        for name, problem in cases:
+            policy = uniform_random_policy(problem)
+            results = {}
+            for path, cutoff in SOLVE_PATHS.items():
+                monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", cutoff)
+                splu_calls.clear()
+                results[path] = policy_iteration(problem, policy)
+                # one factorization per evaluation: every trace row's, or all
+                # but the last when that row repeats the previous policy
+                rows = len(results[path][2])
+                expected = (rows - 1, rows) if path == "sparse" else (0,)
+                assert len(splu_calls) in expected, name
+            (d_policy, _, d_trace), (s_policy, _, s_trace) = results.values()
+            assert np.array_equal(d_policy.actions, s_policy.actions), name
+            assert len(d_trace) == len(s_trace), name
+            for d_record, s_record in zip(d_trace.records, s_trace.records):
+                scale = np.abs(d_record.values).max()
+                assert np.allclose(
+                    s_record.values, d_record.values, rtol=1e-12, atol=1e-12 * scale
+                ), name
+
+    def test_tables_on_the_sparse_path(self, grid, monkeypatch, splu_calls):
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", 0)
+        assert compare_table1(run_table1(grid, "vi"), EXPECTED_TABLE1_VI, "vi") == []
+        assert compare_table1(run_table1(grid, "pi"), EXPECTED_TABLE1_PI, "pi") == []
+        assert compare_table2(run_table2(grid)) == []
+        assert splu_calls and set(splu_calls) == {grid.num_states - 1}
+
+    def test_cutoff_counts_nonterminal_states(self, grid, monkeypatch, splu_calls):
+        policy = uniform_random_policy(grid)
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", grid.num_states)
+        evaluate_policy(grid, policy)
+        assert splu_calls == []
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", grid.num_states - 1)
+        evaluate_policy(grid, policy)
+        assert splu_calls == [grid.num_states - 1]
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_refinement_reuses_one_factorization(
+        self, grid, grid_uniform_values, path, monkeypatch, splu_calls
+    ):
+        # every solve is off by a relative 1e-6, so only the refinement rounds
+        # reach the 1e-10 residual
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        exact_system = dp._policy_system
+        systems, solves = [], []
+
+        def inexact_system(problem, policy):
+            system, solve = exact_system(problem, policy)
+            systems.append(system)
+
+            def inexact_solve(rhs):
+                solves.append(rhs)
+                return solve(rhs) * (1.0 + 1e-6)
+
+            return system, inexact_solve
+
+        monkeypatch.setattr(dp, "_policy_system", inexact_system)
+        values = evaluate_policy(grid, uniform_random_policy(grid))
+        assert len(systems) == 1 and len(solves) > 1
+        assert len(splu_calls) == (1 if path == "sparse" else 0)
+        assert np.abs(values - grid_uniform_values).max() <= 1e-9
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_terminal_in_the_middle(self, grid, grid_uniform_values, path, monkeypatch):
+        # relabel state s as label[s], which moves the terminal from last to index 5
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        label = np.roll(np.arange(grid.num_states), grid.num_states // 2)
+        view = grid.transitions
+        states, actions = np.divmod(view.row, grid.num_actions)
+        relabeled = SspProblem(
+            grid.num_states, grid.num_actions, int(label[grid.terminal]),
+            transitions=Transitions.from_entries(
+                grid.num_states, label[states] * grid.num_actions + actions,
+                label[view.to], view.prob, view.cost,
+            ),
+        )
+        values = evaluate_policy(relabeled, uniform_random_policy(relabeled))
+        scale = np.abs(grid_uniform_values).max()
+        assert np.allclose(
+            values[label], grid_uniform_values, rtol=1e-12, atol=1e-12 * scale
+        )
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_singular_system(self, path, monkeypatch):
+        # properness is bypassed, so a policy with a closed free loop reaches the solve
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        monkeypatch.setattr(
+            dp, "is_proper", lambda problem, policy: ProperCheckReport(True, (), 1, 1.0)
+        )
+        cause = np.linalg.LinAlgError if path == "dense" else RuntimeError
+        stall = (free_delay_instance(), [0, 0])  # 0 -> 0 at no cost
+        cycle = (delay_or_exit_instance(), [0, 1, 0])  # 0 -> 1 -> 0
+        for problem, actions in (stall, cycle):
+            policy = DeterministicPolicy(actions=np.array(actions))
+            with pytest.raises(SingularSystem, match="policy evaluation failed") as info:
+                evaluate_policy(problem, policy)
+            assert isinstance(info.value.__cause__, cause)
 
 
 class TestPolicyIteration:

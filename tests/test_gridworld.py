@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg  # noqa: F401  loaded before any memory is traced
 
 from helpers import dense
 from sspbounds import (
@@ -11,6 +13,7 @@ from sspbounds import (
     evaluate_policy,
     is_uniformly_improvable,
     load_problem,
+    policy_iteration,
     uniform_random_policy,
     validate,
     value_iteration,
@@ -58,6 +61,30 @@ class TestBuilder:
         second = build_gridworld()
         assert dense(first).prob.tobytes() == dense(second).prob.tobytes()
         assert dense(first).cost.tobytes() == dense(second).cost.tobytes()
+
+    def test_bump_and_slip_onto_one_cell_are_one_entry(self, grid):
+        view = grid.transitions
+        keys = view.row * grid.num_states + view.to
+        assert np.unique(keys).size == keys.size
+        # top-left corner moving up: the move and the west slip both bump
+        assert dense(grid).prob[0, 0, 0] == 0.8 + 0.1
+
+    def test_build_and_policy_iteration_memory(self):
+        side = 40
+        spec = GridSpec(
+            width=side, height=side, walls=(),
+            exits={(0, side - 1): 1.0, (side - 1, 0): -1.0}, slip_redirects={},
+        )
+        tracemalloc.start()
+        try:
+            problem = build_gridworld(spec)
+            policy_iteration(problem, uniform_random_policy(problem))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one S x S float64 array (20.5 MB); the dense (S, A, S) build took 185 MB
+        assert problem.num_states == 1601
+        assert peak < problem.num_states**2 * 8
 
     def test_golden_file_byte_identical(self, grid):
         rendered = json.dumps(problem_to_json_dict(grid, "reward"), indent=2) + "\n"
