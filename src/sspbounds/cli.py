@@ -20,13 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import gridworld as gw
-from .core import (
-    SspProblem,
-    check_values,
-    load_problem,
-    problem_to_json_dict,
-    save_problem,
-)
+from .core import SspProblem, _json_chunks, check_values, load_problem, save_problem
 from .dp import (
     evaluate_policy,
     greedy_policy,
@@ -232,8 +226,7 @@ def cmd_convert(config: RunConfig) -> int:
     if config.output:
         save_problem(problem, config.output, convention=flipped)
     else:
-        text = json.dumps(problem_to_json_dict(problem, flipped), indent=2)
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(_json_chunks(problem, flipped))
     return EXIT_OK
 
 

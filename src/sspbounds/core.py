@@ -8,6 +8,7 @@ reporting, so there is a single sign convention everywhere else.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -335,37 +336,6 @@ def policy_cost_vector(problem: SspProblem, policy: Policy) -> np.ndarray:
 # stores rewards in the "cost" field; the loader negates them.
 
 
-def problem_to_json_dict(problem: SspProblem, convention: str = "cost") -> dict:
-    """Render an instance as a JSON-ready dict in the given convention."""
-    if convention not in ("cost", "reward"):
-        raise ValueError(f"convention must be 'cost' or 'reward', got {convention!r}")
-    view = problem.transitions
-    sign = 1.0 if convention == "cost" else -1.0
-    records = []
-    # Blocks keep the per-column lists short: lists over the whole view
-    # raised the peak memory of saving a 160k-entry instance by 7 MB.
-    block = 1 << 14
-    for start in range(0, view.row.size, block):
-        part = slice(start, start + block)
-        states, actions = np.divmod(view.row[part], problem.num_actions)
-        # adding 0.0 normalizes -0.0 from sign flips
-        costs = sign * view.cost[part] + 0.0
-        records += [
-            {"from": i, "action": u, "to": j, "prob": p, "cost": g}
-            for i, u, j, p, g in zip(
-                states.tolist(), actions.tolist(), view.to[part].tolist(),
-                view.prob[part].tolist(), costs.tolist(),
-            )
-        ]
-    return {
-        "num_states": problem.num_states,
-        "num_actions": problem.num_actions,
-        "terminal": problem.terminal,
-        "convention": convention,
-        "transitions": records,
-    }
-
-
 def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
     """Build a cost-form instance from a parsed JSON dict.
 
@@ -467,10 +437,67 @@ def _number(x) -> float:
     raise ValueError(f"{x!r} is not a number")
 
 
+# One transition record as ``json.dumps(..., indent=2)`` lays it out in the file.
+_RECORD = (
+    '    {{\n      "from": {},\n      "action": {},\n      "to": {},\n'
+    '      "prob": {},\n      "cost": {}\n    }}'
+)
+
+
+def _json_chunks(problem: SspProblem, convention: str) -> Iterator[str]:
+    """The instance file in the given convention, as consecutive pieces of text.
+
+    Joined, they equal ``json.dumps`` with ``indent=2`` of the schema's dict,
+    plus a final newline. The first piece is the header; producing it raises
+    ValueError for an unknown convention.
+    """
+    if convention not in ("cost", "reward"):
+        raise ValueError(f"convention must be 'cost' or 'reward', got {convention!r}")
+    header = {
+        "num_states": problem.num_states,
+        "num_actions": problem.num_actions,
+        "terminal": problem.terminal,
+        "convention": convention,
+    }
+    header_text = json.dumps(header, indent=2)[:-2]  # without the closing "\n}"
+    view = problem.transitions
+    if not view.row.size:
+        yield header_text + ',\n  "transitions": []\n}\n'
+        return
+    yield header_text + ',\n  "transitions": [\n'
+    sign = 1.0 if convention == "cost" else -1.0
+    # Blocks bound the text and the per-column lists held at once, whatever
+    # the number of entries.
+    block = 1 << 14
+    for start in range(0, view.row.size, block):
+        part = slice(start, start + block)
+        states, actions = np.divmod(view.row[part], problem.num_actions)
+        # adding 0.0 normalizes -0.0 from sign flips
+        costs = sign * view.cost[part] + 0.0
+        columns = [states.tolist(), actions.tolist(), view.to[part].tolist()]
+        for values in (view.prob[part], costs):
+            # The template prints a float as str does, which is json's repr;
+            # json spells the non-finite ones of an unvalidated instance NaN,
+            # Infinity and -Infinity.
+            finite = np.isfinite(values).all()
+            columns.append(values.tolist() if finite else list(map(json.dumps, values.tolist())))
+        if start:
+            yield ",\n"
+        yield ",\n".join(map(_RECORD.format, *columns))
+    yield "\n  ]\n}\n"
+
+
 def save_problem(problem: SspProblem, path, convention: str = "cost") -> None:
-    """Write an instance file; ``problem`` is always given in cost form."""
-    text = json.dumps(problem_to_json_dict(problem, convention), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write an instance file; ``problem`` is always given in cost form.
+
+    The records are written a block at a time, so the memory this takes
+    does not grow with the number of stored transitions.
+    """
+    chunks = _json_chunks(problem, convention)
+    header = next(chunks)  # an unknown convention raises here, before the file is opened
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header)
+        out.writelines(chunks)
 
 
 def load_problem(path) -> tuple[SspProblem, str]:

@@ -41,6 +41,33 @@ def dense(problem: SspProblem) -> DenseKernel:
     return DenseKernel(prob, cost)
 
 
+def problem_to_json_dict(problem: SspProblem, convention: str = "cost") -> dict:
+    """An instance as the dict of the JSON schema, one Python dict per transition record.
+
+    ``json.dumps(problem_to_json_dict(p, c), indent=2) + "\\n"`` is the text
+    ``save_problem(p, path, c)`` must write, byte for byte; the loader tests
+    also edit these dicts and hand them to ``problem_from_json_dict``.
+    """
+    view = problem.transitions
+    sign = {"cost": 1.0, "reward": -1.0}[convention]
+    states, actions = np.divmod(view.row, problem.num_actions)
+    # adding 0.0 normalizes -0.0 from sign flips
+    costs = sign * view.cost + 0.0
+    records = [
+        {"from": i, "action": u, "to": j, "prob": p, "cost": g}
+        for i, u, j, p, g in zip(
+            states.tolist(), actions.tolist(), view.to.tolist(), view.prob.tolist(), costs.tolist()
+        )
+    ]
+    return {
+        "num_states": problem.num_states,
+        "num_actions": problem.num_actions,
+        "terminal": problem.terminal,
+        "convention": convention,
+        "transitions": records,
+    }
+
+
 def reference_action_values(problem: SspProblem, values) -> np.ndarray:
     """Backed-up cost of every (state, action) pair by one dense einsum."""
     prob, cost = dense(problem)

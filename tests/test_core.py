@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from helpers import (
     dense,
     monte_carlo_steps,
+    problem_to_json_dict,
     random_all_proper_ssp,
     random_discounted,
     random_proper_mixed_ssp,
@@ -23,7 +27,7 @@ from sspbounds import (
     uniform_random_policy,
     validate,
 )
-from sspbounds.core import problem_from_json_dict, problem_to_json_dict
+from sspbounds.core import Transitions, problem_from_json_dict
 from sspbounds.errors import (
     NonfiniteCost,
     ProbabilityOutOfRange,
@@ -31,6 +35,7 @@ from sspbounds.errors import (
     RowSumViolation,
     TerminalCostNonzero,
     TerminalNotAbsorbing,
+    ValidationError,
 )
 
 
@@ -225,29 +230,61 @@ class TestFromDiscounted:
             from_discounted([[[0.7]]], [[[0.0]]], beta=0.9)
 
 
-def reward_records(problem) -> dict:
+def written(problem, convention, path) -> str:
+    """Save ``problem`` to ``path`` and return the text, checked against the oracle."""
+    save_problem(problem, path, convention)
+    text = path.read_text(encoding="utf-8")
+    expected = json.dumps(problem_to_json_dict(problem, convention), indent=2) + "\n"
+    if text != expected:
+        # pointed, not pytest's diff, which takes minutes on megabyte texts
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail(f"written {text[at - 80 : at + 40]!r}, expected {expected[at - 80 : at + 40]!r}")
+    return text
+
+
+def reward_records(problem, path) -> dict:
     """The reward-form file's cost fields, keyed by (from, action, to)."""
-    records = problem_to_json_dict(problem, convention="reward")["transitions"]
+    records = json.loads(written(problem, "reward", path))["transitions"]
     return {(r["from"], r["action"], r["to"]): r["cost"] for r in records}
+
+
+def unvalidated_instance() -> SspProblem:
+    """A NaN probability and infinite costs, which only validation rejects."""
+    view = Transitions.from_entries(
+        3, row=[0, 0, 1, 2], to=[1, 2, 2, 2],
+        prob=[math.nan, 0.5, 1.0, 1.0], cost=[math.inf, -math.inf, 1.0, 0.0],
+    )
+    return SspProblem(3, 1, terminal=2, transitions=view)
+
+
+def entryless_instance() -> SspProblem:
+    """An instance with no stored transitions at all."""
+    view = Transitions.from_entries(2, row=[], to=[], prob=[], cost=[])
+    return SspProblem(2, 1, terminal=1, transitions=view)
 
 
 class TestNegateCosts:
     """Reward-form files: the writer negates the costs and the loader negates them back."""
 
-    def test_terminal_self_loop_stays_zero(self, stay_go):
-        loops = [g for (i, _, _), g in reward_records(stay_go).items() if i == stay_go.terminal]
+    def test_terminal_self_loop_stays_zero(self, stay_go, tmp_path):
+        path = tmp_path / "stay_go.json"
+        records = reward_records(stay_go, path)
+        loops = [g for (i, _, _), g in records.items() if i == stay_go.terminal]
         assert loops == [0.0, 0.0]
         assert all(math.copysign(1.0, g) == 1.0 for g in loops)
-        loaded, _ = problem_from_json_dict(problem_to_json_dict(stay_go, convention="reward"))
+        assert '"cost": -0.0' not in path.read_text(encoding="utf-8")
+        loaded, _ = load_problem(path)
         assert dense(loaded).cost[1, 0, 1] == 0.0  # and it validated
 
-    def test_gridworld_sign_flip(self, grid):
-        rewards = reward_records(grid)
+    def test_gridworld_sign_flip(self, grid, tmp_path):
+        rewards = reward_records(grid, tmp_path / "grid.json")
         assert rewards[(0, 2, 1)] == pytest.approx(-0.04)
         assert rewards[(3, 0, grid.terminal)] == 1.0
 
-    def test_double_negation_is_bit_identical(self, grid):
-        loaded, convention = problem_from_json_dict(problem_to_json_dict(grid, convention="reward"))
+    def test_double_negation_is_bit_identical(self, grid, tmp_path):
+        path = tmp_path / "grid.json"
+        written(grid, "reward", path)
+        loaded, convention = load_problem(path)
         assert convention == "reward"
         assert dense(loaded).cost.tobytes() == dense(grid).cost.tobytes()
         assert dense(loaded).prob.tobytes() == dense(grid).prob.tobytes()
@@ -278,6 +315,11 @@ class TestPolicies:
         assert np.allclose(policy_cost_vector(stay_go, mixed), [1.5, 0.0])
 
 
+def more_than_one_block_instance() -> SspProblem:
+    rng = np.random.default_rng(8)
+    return from_discounted(*random_discounted(rng, num_states=40, num_actions=11), 0.9)
+
+
 class TestJsonFiles:
     def test_round_trip_cost_convention(self, grid, tmp_path):
         path = tmp_path / "grid.json"
@@ -297,14 +339,14 @@ class TestJsonFiles:
         # loader negates reward-form costs back into cost form
         assert np.array_equal(dense(loaded).cost, dense(grid).cost)
 
-    def test_round_trip_across_writer_blocks(self):
-        rng = np.random.default_rng(8)
-        problem = from_discounted(*random_discounted(rng, num_states=40, num_actions=11), 0.9)
-        data = problem_to_json_dict(problem, convention="reward")
+    def test_round_trip_across_writer_blocks(self, tmp_path):
+        path = tmp_path / "blocks.json"
+        problem = more_than_one_block_instance()
+        data = json.loads(written(problem, "reward", path))
         triples = [(r["from"], r["action"], r["to"]) for r in data["transitions"]]
         assert len(triples) == 40 * 11 * 41 + 11  # more than one block of 16384
         assert triples == sorted(triples)
-        loaded, _ = problem_from_json_dict(data)
+        loaded, _ = load_problem(path)
         assert np.array_equal(dense(loaded).prob, dense(problem).prob)
         assert np.array_equal(dense(loaded).cost, dense(problem).cost)
 
@@ -315,11 +357,18 @@ class TestJsonFiles:
             problem_from_json_dict(data)
 
     @pytest.mark.parametrize("convention", ["cost", "reward"])
-    def test_record_order_does_not_matter(self, grid, convention):
+    def test_record_order_does_not_matter(self, grid, stay_go, convention, tmp_path):
         rng = np.random.default_rng(4)
-        problems = [grid, random_proper_mixed_ssp(rng), from_discounted(*random_discounted(rng), 0.8)]
+        problems = [
+            grid,
+            stay_go,  # its terminal self-loops negate to 0.0, not -0.0
+            random_proper_mixed_ssp(rng),
+            from_discounted(*random_discounted(rng), 0.8),
+            more_than_one_block_instance(),
+        ]
         for problem in problems:
-            data = problem_to_json_dict(problem, convention)
+            # the files save_problem writes, read back in order and shuffled
+            data = json.loads(written(problem, convention, tmp_path / "problem.json"))
             in_order, _ = problem_from_json_dict(data)
             rng.shuffle(data["transitions"])
             shuffled, _ = problem_from_json_dict(data)
@@ -327,6 +376,38 @@ class TestJsonFiles:
                 expected = getattr(problem.transitions, field)
                 assert np.array_equal(getattr(in_order.transitions, field), expected)
                 assert np.array_equal(getattr(shuffled.transitions, field), expected)
+        # the writer spells out what the loader rejects, in any record order
+        for problem in (unvalidated_instance(), entryless_instance()):
+            data = json.loads(written(problem, convention, tmp_path / "invalid.json"))
+            with pytest.raises(ValidationError) as in_order:
+                problem_from_json_dict(data)
+            rng.shuffle(data["transitions"])
+            with pytest.raises(ValidationError) as shuffled:
+                problem_from_json_dict(data)
+            assert str(shuffled.value) == str(in_order.value)
+
+    def test_unknown_convention_leaves_file_untouched(self, stay_go, tmp_path):
+        path = tmp_path / "kept.json"
+        path.write_text("earlier contents", encoding="utf-8")
+        with pytest.raises(ValueError, match="convention"):
+            save_problem(stay_go, path, "bogus")
+        assert path.read_text(encoding="utf-8") == "earlier contents"
+
+    def test_save_peak_does_not_grow_with_entries(self, tmp_path):
+        rng = np.random.default_rng(3)
+        peaks = []
+        # 17,692 and 40,404 entries: one block of 16,384 and some, and two and a half
+        for num_states in (66, 100):
+            problem = from_discounted(*random_discounted(rng, num_states, num_actions=4), 0.9)
+            tracemalloc.start()
+            try:
+                save_problem(problem, tmp_path / "instance.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a block of records at a time; one dict per entry peaked at 1.3 kB per entry
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 10e6
 
     def test_record_error_messages(self, stay_go):
         records = problem_to_json_dict(stay_go)["transitions"]

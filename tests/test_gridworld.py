@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg  # noqa: F401  loaded before any memory is traced
 
-from helpers import dense
+from helpers import dense, problem_to_json_dict
 from sspbounds import (
     GridSpec,
     build_gridworld,
@@ -14,11 +14,12 @@ from sspbounds import (
     is_uniformly_improvable,
     load_problem,
     policy_iteration,
+    save_problem,
     uniform_random_policy,
     validate,
     value_iteration,
 )
-from sspbounds.core import problem_to_json_dict
+from sspbounds.cli import main
 from sspbounds.gridworld import (
     EXPECTED_TABLE1_PI,
     EXPECTED_TABLE1_VI,
@@ -86,9 +87,18 @@ class TestBuilder:
         assert problem.num_states == 1601
         assert peak < problem.num_states**2 * 8
 
-    def test_golden_file_byte_identical(self, grid):
-        rendered = json.dumps(problem_to_json_dict(grid, "reward"), indent=2) + "\n"
-        assert rendered == GOLDEN.read_text(encoding="utf-8")
+    def test_golden_file_byte_identical(self, grid, tmp_path, capsys):
+        golden = GOLDEN.read_text(encoding="utf-8")
+        assert json.dumps(problem_to_json_dict(grid, "reward"), indent=2) + "\n" == golden
+        saved = tmp_path / "saved.json"
+        save_problem(grid, saved, "reward")
+        assert saved.read_text(encoding="utf-8") == golden
+        # convert to cost form into a file, then back to reward form on stdout
+        cost_form = tmp_path / "cost.json"
+        assert main(["convert", "--input", str(GOLDEN), "--output", str(cost_form)]) == 0
+        capsys.readouterr()
+        assert main(["convert", "--input", str(cost_form)]) == 0
+        assert capsys.readouterr().out == golden
 
     def test_golden_file_loads_back(self, grid):
         loaded, convention = load_problem(GOLDEN)
