@@ -1,10 +1,11 @@
 """Command-line front end: solve instances, check properness, reproduce tables.
 
 Exit codes: 0 success, 1 benchmark comparison failure, 2 input validation
-failure, 3 solver precondition failure (improper policy, value function not
-uniformly improvable, or a steps-bound method invoked outside its
-precondition), 4 horizon cap exceeded. Every failure writes a single-line
-JSON object to stderr.
+failure, 3 solver failure (improper policy, value function not uniformly
+improvable, a steps-bound method invoked outside its precondition, a policy
+evaluation that fails numerically, or the all-proper bound's companion solve
+running out of iterations), 4 horizon cap exceeded. Every failure writes a
+single-line JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import gridworld as gw
-from .core import SspProblem, _json_chunks, check_values, load_problem, save_problem
+from .core import (
+    SspProblem,
+    _json_chunks,
+    check_values,
+    load_problem,
+    read_json,
+    save_problem,
+)
 from .dp import (
     evaluate_policy,
     greedy_policy,
@@ -34,6 +42,7 @@ from .errors import (
     MaxItersExceeded,
     NotUniformlyImprovable,
     ProblemFormatError,
+    SingularSystem,
     SolverPreconditionError,
     ValidationError,
 )
@@ -42,7 +51,7 @@ from .properness import all_policies_proper, is_proper, uniform_random_policy
 EXIT_OK = 0
 EXIT_BENCH_MISMATCH = 1
 EXIT_VALIDATION = 2
-EXIT_PRECONDITION = 3
+EXIT_SOLVER = 3
 EXIT_HORIZON_CAP = 4
 
 
@@ -83,10 +92,7 @@ def _error_line(exc: Exception) -> None:
 
 def _load_values_file(path: str, problem: SspProblem, convention: str) -> np.ndarray:
     """Read a value-function file written in the problem file's convention."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"value file is not valid JSON: {exc}") from exc
+    data = read_json(path, "value file")
     if not isinstance(data, dict) or "values" not in data:
         raise ProblemFormatError("value file must be an object with a 'values' field")
     entries = data["values"]
@@ -294,9 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         _error_line(exc)
         return EXIT_VALIDATION
-    except SolverPreconditionError as exc:
+    except (SolverPreconditionError, SingularSystem, MaxItersExceeded) as exc:
+        # cmd_solve keeps its own solve's MaxItersExceeded as a truncated run;
+        # one that reaches here is the all-proper companion solve's
         _error_line(exc)
-        return EXIT_PRECONDITION
+        return EXIT_SOLVER
     except HorizonCapExceeded as exc:
         _error_line(exc)
         return EXIT_HORIZON_CAP

@@ -342,6 +342,13 @@ def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
     Returns the instance together with the file's convention. The instance
     is validated; reward-convention costs are negated on the way in.
     """
+    header = _header(data)
+    columns = _read_records(data["transitions"], *header[:2])
+    return _instance(*header, *columns)
+
+
+def _header(data) -> tuple[int, int, int, str]:
+    """``(num_states, num_actions, terminal, convention)`` of a parsed file, checked."""
     if not isinstance(data, dict):
         raise ProblemFormatError("top-level JSON value must be an object")
     for field in ("num_states", "num_actions", "terminal", "convention", "transitions"):
@@ -365,8 +372,13 @@ def problem_from_json_dict(data: dict) -> tuple[SspProblem, str]:
 
     if not isinstance(data["transitions"], list):
         raise ProblemFormatError("transitions must be a list of records")
+    return num_states, num_actions, terminal, convention
 
-    row, to, prob, cost = _read_records(data["transitions"], num_states, num_actions)
+
+def _instance(
+    num_states: int, num_actions: int, terminal: int, convention: str, row, to, prob, cost
+) -> tuple[SspProblem, str]:
+    """The validated cost-form instance of a file's header and record columns."""
     if convention == "reward":
         cost = 0.0 - cost  # not -cost, which turns zero rewards into -0.0 costs
     view = Transitions.from_entries(num_states, row, to, prob, cost)
@@ -442,6 +454,20 @@ _RECORD = (
     '    {{\n      "from": {},\n      "action": {},\n      "to": {},\n'
     '      "prob": {},\n      "cost": {}\n    }}'
 )
+# What the file holds around its records, when it has any.
+_RECORDS_START = b',\n  "transitions": [\n'
+_RECORDS_END = b"\n  ]\n}\n"
+
+
+def _header_text(num_states: int, num_actions: int, terminal: int, convention: str) -> str:
+    """The file's text before its ``transitions`` field, as ``json.dumps`` lays it out."""
+    header = {
+        "num_states": num_states,
+        "num_actions": num_actions,
+        "terminal": terminal,
+        "convention": convention,
+    }
+    return json.dumps(header, indent=2)[:-2]  # without the closing "\n}"
 
 
 def _json_chunks(problem: SspProblem, convention: str) -> Iterator[str]:
@@ -453,18 +479,14 @@ def _json_chunks(problem: SspProblem, convention: str) -> Iterator[str]:
     """
     if convention not in ("cost", "reward"):
         raise ValueError(f"convention must be 'cost' or 'reward', got {convention!r}")
-    header = {
-        "num_states": problem.num_states,
-        "num_actions": problem.num_actions,
-        "terminal": problem.terminal,
-        "convention": convention,
-    }
-    header_text = json.dumps(header, indent=2)[:-2]  # without the closing "\n}"
+    header_text = _header_text(
+        problem.num_states, problem.num_actions, problem.terminal, convention
+    )
     view = problem.transitions
     if not view.row.size:
         yield header_text + ',\n  "transitions": []\n}\n'
         return
-    yield header_text + ',\n  "transitions": [\n'
+    yield header_text + _RECORDS_START.decode()
     sign = 1.0 if convention == "cost" else -1.0
     # Blocks bound the text and the per-column lists held at once, whatever
     # the number of entries.
@@ -484,7 +506,7 @@ def _json_chunks(problem: SspProblem, convention: str) -> Iterator[str]:
         if start:
             yield ",\n"
         yield ",\n".join(map(_RECORD.format, *columns))
-    yield "\n  ]\n}\n"
+    yield _RECORDS_END.decode()
 
 
 def save_problem(problem: SspProblem, path, convention: str = "cost") -> None:
@@ -504,9 +526,130 @@ def load_problem(path) -> tuple[SspProblem, str]:
     """Read and validate an instance file.
 
     Returns the cost-form instance and the convention recorded in the file.
+    A file laid out as :func:`save_problem` writes it is read a block at a
+    time (see :func:`_read_written`); any other file is parsed whole, record
+    by record, and every error is reported by that read.
     """
+    with open(path, "rb") as file:
+        written = _read_written(file)
+    if written is None:
+        return problem_from_json_dict(read_json(path, "instance file"))
+    return _instance(*written)
+
+
+def read_json(path, name: str):
+    """The JSON value of a UTF-8 file; ProblemFormatError, naming the file, if it has none."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"not valid JSON: {exc}") from exc
-    return problem_from_json_dict(data)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProblemFormatError(f"{name} is not valid JSON: {exc}") from exc
+
+
+# The block reader takes the records about this many bytes at a time. Its
+# peak is about five blocks; from 512 kB to 4 MB per block the time of a
+# 22 MB file does not move.
+_BLOCK_BYTES = 1 << 20
+# A record and the separator after it, with its five fields left empty.
+_SKELETON = (_RECORD.format(*[""] * 5) + ",\n").encode()
+_RECORD_END = b"\n    },\n"
+_NUMBER_CHARS = b"0123456789.+-eE"
+_NUMBERS_MARKED = bytes(ord("#") if c in _NUMBER_CHARS else c for c in range(256))
+# The skeleton's characters but its commas and whitespace. None is a number
+# character; the whitespace stays so that no number can run into another.
+_KEY_CHARS = b'fromactinpbs"{}:'
+
+
+def _read_written(file) -> tuple | None:
+    """The header and record columns of a file exactly as :func:`save_problem` writes it.
+
+    Returns ``(num_states, num_actions, terminal, convention, row, to,
+    prob, cost)``, the records in file order, or None as soon as the file
+    departs from the writer's layout or holds a record the record-by-record
+    read could object to: a header other than the writer's, an index that
+    is not integral or out of range, or records not in strictly increasing
+    (row, to) order, which rules out duplicates. Non-finite numbers pass;
+    :func:`validate` then names the same entry as that read would. The
+    file is read in blocks, cut after a complete record, so the memory this
+    takes beyond the columns does not grow with the number of records.
+    """
+    text = file.read(_BLOCK_BYTES)
+    header_text, found, text = text.partition(_RECORDS_START)
+    if not found:
+        return None
+    try:
+        header = _header(json.loads(header_text + b', "transitions": []}'))
+    except (ValueError, RecursionError, ProblemFormatError):  # ValueError: JSON, UTF-8
+        return None
+    num_states, num_actions = header[:2]
+    # the bound keeps every row index exact in floats
+    if num_states * num_actions > 2**53 or _header_text(*header).encode() != header_text:
+        return None
+    blocks, last, at_end = [], (-1.0, -1.0), False
+    while not at_end:
+        carried = len(text)  # what follows the last complete record so far
+        text += file.read(_BLOCK_BYTES)
+        at_end = len(text) == carried
+        if not at_end:
+            cut = text.rfind(_RECORD_END) + len(_RECORD_END)
+            if cut < len(_RECORD_END):
+                return None  # no record in a block: not the writer's layout
+            block, text = text[:cut], text[cut:]
+        elif text.endswith(_RECORDS_END):
+            block = text[: -len(_RECORDS_END)] + b",\n"
+        else:
+            return None
+        columns = _block_columns(block, num_states, num_actions, last)
+        if columns is None:
+            return None
+        blocks.append(columns)
+        last = (columns[0][-1], columns[1][-1])
+    return (*header, *(np.concatenate(column) for column in zip(*blocks)))
+
+
+def _records_in(block: bytes) -> int:
+    """The number of records in a block of the writer's layout with no field empty, else 0."""
+    # Without its number characters the block is the skeleton ``count``
+    # times, and a number character follows each of its five '": '.
+    skeleton = block.translate(None, _NUMBER_CHARS)
+    count = len(skeleton) // len(_SKELETON)
+    if skeleton != _SKELETON * count:
+        return 0
+    if block.translate(_NUMBERS_MARKED).count(b'": #') != 5 * count:
+        return 0
+    return count
+
+
+def _block_columns(block: bytes, num_states: int, num_actions: int, last) -> tuple | None:
+    """``(row, to, prob, cost)`` of a block of records each followed by ``",\\n"``.
+
+    None unless the block is the writer's layout with a JSON number in
+    every field, the indices are integral and in range, and the (row, to)
+    keys increase strictly from ``last`` on.
+    """
+    count = _records_in(block)
+    if not count:
+        return None
+    # Each field's number is one run of number characters. A number
+    # character anywhere else stays apart from it, and json then fails.
+    try:
+        numbers = json.loads(b"[" + block.translate(None, _KEY_CHARS)[:-2] + b"]")
+        values = np.fromiter(numbers, float, len(numbers)).reshape(count, 5).T
+    except (ValueError, OverflowError):
+        return None
+    frm, act, to, prob, cost = values
+    indices = values[:3]
+    if not (
+        (indices == np.floor(indices)).all()
+        and (indices >= 0.0).all()
+        and (frm < num_states).all()
+        and (act < num_actions).all()
+        and (to < num_states).all()
+    ):
+        return None
+    row = frm * num_actions + act
+    row_step = np.diff(row, prepend=last[0])
+    to_step = np.diff(to, prepend=last[1])
+    if not ((row_step > 0.0) | ((row_step == 0.0) & (to_step > 0.0))).all():
+        return None
+    # copies, so that the block's other columns are freed
+    return row.astype(np.int64), to.astype(np.int64), prob.copy(), cost.copy()

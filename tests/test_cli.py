@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense, random_all_proper_ssp, random_proper_mixed_ssp, stay_or_go_instance
+from helpers import (
+    dense,
+    random_all_proper_ssp,
+    random_discounted,
+    random_proper_mixed_ssp,
+    stay_or_go_instance,
+)
 from sspbounds import (
     GridSpec,
     SspProblem,
@@ -29,8 +35,14 @@ from sspbounds import (
     value_iteration,
 )
 from sspbounds.cli import main
-from sspbounds.errors import HorizonCapExceeded
+from sspbounds.errors import (
+    HorizonCapExceeded,
+    MaxItersExceeded,
+    ProblemFormatError,
+    SingularSystem,
+)
 import sspbounds.bounds
+import sspbounds.cli
 import sspbounds.core
 import sspbounds.dp
 import sspbounds.gridworld as gw
@@ -194,6 +206,58 @@ class TestValuesFile:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.err.strip())["error"] == "ProblemFormatError"
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "content", [b'{"values": [0, \xff]}', b"[" * 100_000], ids=["not UTF-8", "deep"]
+    )
+    @pytest.mark.parametrize("command, flag", [("check", "--input"), ("check", "--values"),
+                                               ("solve", "--init")])
+    def test_exit_two(self, stay_go_file, tmp_path, capsys, command, flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        files = [flag, str(bad)] if flag == "--input" else ["--input", stay_go_file, flag, str(bad)]
+        code = main([command, *files])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ProblemFormatError"
+
+    def test_instance_file_with_a_byte_not_utf8(self, stay_go_file):
+        path = Path(stay_go_file)
+        path.write_bytes(path.read_bytes().replace(b'"prob"', b'"pr\xffb"', 1))
+        with pytest.raises(ProblemFormatError, match="instance file is not valid"):
+            load_problem(path)
+
+
+class TestSolverFailures:
+    """A solver that fails exits 3 with the one-line error, not a traceback."""
+
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_singular_system(self, grid_reward_file, capsys, monkeypatch, algorithm):
+        def singular(*args):
+            raise SingularSystem("policy evaluation residual 1e-3 exceeds 1e-10")
+
+        monkeypatch.setattr(sspbounds.cli, "value_iteration", singular)
+        monkeypatch.setattr(sspbounds.cli, "policy_iteration", singular)
+        code = main(["solve", "--input", grid_reward_file, "--algorithm", algorithm])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SingularSystem",
+            "message": "policy evaluation residual 1e-3 exceeds 1e-10",
+        }
+
+    def test_companion_solve_out_of_iterations(self, tmp_path, capsys, monkeypatch):
+        problem = from_discounted(*random_discounted(np.random.default_rng(2)), 0.9)
+        path = tmp_path / "disc.json"
+        save_problem(problem, path)
+
+        def exhausted(*args):
+            raise MaxItersExceeded("policy iteration did not converge", None, None)
+
+        monkeypatch.setattr(sspbounds.bounds, "policy_iteration", exhausted)
+        code = main(["solve", "--input", str(path), "--bounds", "all-proper"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "MaxItersExceeded"
 
 
 def free_delay_file(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from sspbounds import (
     uniform_random_policy,
     validate,
 )
+import sspbounds.core
 from sspbounds.core import Transitions, problem_from_json_dict
 from sspbounds.errors import (
     NonfiniteCost,
@@ -320,6 +322,97 @@ def more_than_one_block_instance() -> SspProblem:
     return from_discounted(*random_discounted(rng, num_states=40, num_actions=11), 0.9)
 
 
+def read_outcome(read, path):
+    """What a reader makes of a file: the instance, or the error's type and message."""
+    try:
+        problem, convention = read(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    view = problem.transitions
+    fields = (getattr(view, name).tobytes() for name in ("row", "to", "prob", "cost"))
+    return (convention, problem.num_states, problem.num_actions, problem.terminal, *fields)
+
+
+def parsed_whole(path):
+    """The record-by-record read: ``problem_from_json_dict`` of the parsed text."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"instance file is not valid JSON: {exc}") from exc
+    return problem_from_json_dict(data)
+
+
+def set_field(name, value):
+    """A record edit writing ``value``, text or a function of the old text, into a field."""
+    field = re.compile(rf'("{name}": )([^,\n]*)')
+    new = value if callable(value) else lambda old: value
+    return lambda record: field.sub(lambda m: m[1] + new(m[2]), record, count=1)
+
+
+def empty(name, record):
+    return set_field(name, "")(record)
+
+
+def swap_prob_and_cost(record):
+    prob, cost = (re.search(rf'"{name}": [^,\n]*', record)[0] for name in ("prob", "cost"))
+    return record.replace(prob, "@").replace(cost, prob).replace("@", cost)
+
+
+# Edits of one record, each a departure from the writer's layout, its
+# number grammar or its invariants, or a change within them.
+RECORD_EDITS = {
+    "leading zero index": set_field("to", lambda old: "0" + old),
+    "leading zero cost": set_field("cost", "01.5"),
+    "plus sign": set_field("cost", "+1"),
+    "no integer part": set_field("prob", ".5"),
+    "no fraction digits": set_field("cost", "1."),
+    "NaN probability": set_field("prob", "NaN"),
+    "infinite cost": set_field("cost", "-Infinity"),
+    "cost 1e400": set_field("cost", "1e400"),
+    "integer cost beyond floats": set_field("cost", "1" + "0" * 400),
+    "inexact integer cost": set_field("cost", "123456789012345678901"),
+    "other cost": set_field("cost", "-2.5e-3"),
+    "index as 1.0": set_field("to", lambda old: old + ".0"),
+    "index as 1e0": set_field("action", lambda old: old + "e0"),
+    "index 2**53": set_field("from", str(2**53)),
+    "index 2**53 + 1": set_field("to", str(2**53 + 1)),
+    "fractional index": set_field("to", "1.5"),
+    "index out of range": set_field("to", "999"),
+    "action out of range": set_field("action", "3"),
+    "negative index": set_field("action", "-1"),
+    "empty field": set_field("prob", ""),
+    "keys swapped": swap_prob_and_cost,
+    "extra key": lambda r: r.replace("\n    }", ',\n      "note": 1\n    }'),
+    "extra space": lambda r: r.replace('"from": ', '"from":  '),
+    "digit in a key": lambda r: r.replace('"action"', '"act1ion"'),
+    # a number character where no number goes, with the field it reads as empty
+    "digit in a key, field empty": lambda r: empty("action", r).replace("ac", "a1c"),
+    "digit before the colon, field empty": lambda r: empty("to", r).replace('o":', 'o"5:'),
+    "digit after the colon, field empty": lambda r: empty("to", r).replace('o": ', 'o":5 '),
+    "digit in the indentation": lambda r: r.replace('\n      "prob"', '\n   7   "prob"'),
+    "digit after a record, field empty": lambda r: empty("cost", r).replace("\n    }", "\n  3  }"),
+    "duplicate record": lambda r: r + ",\n" + r,
+    "CRLF in a record": lambda r: r.replace("\n", "\r\n"),
+}
+
+
+def record_span(text: str, index: int) -> slice:
+    """Where record number ``index`` of a file in the writer's layout lies in its text."""
+    start = [m.start() for m in re.finditer(r"^    \{$", text, re.M)][index]
+    return slice(start, text.index("\n    }", start) + len("\n    }"))
+
+
+def edit_record(text: str, index: int, edit) -> str:
+    """``text`` with ``edit`` applied to its record number ``index``."""
+    span = record_span(text, index)
+    return text[: span.start] + edit(text[span]) + text[span.stop :]
+
+
+def record_across(text: str, offset: int) -> int:
+    """The number of the record that spans byte ``offset`` of the (ASCII) text."""
+    return len(re.findall(r"^    \{$", text[:offset], re.M)) - 1
+
+
 class TestJsonFiles:
     def test_round_trip_cost_convention(self, grid, tmp_path):
         path = tmp_path / "grid.json"
@@ -408,6 +501,95 @@ class TestJsonFiles:
         # a block of records at a time; one dict per entry peaked at 1.3 kB per entry
         assert peaks[1] < 1.1 * peaks[0]
         assert peaks[1] < 10e6
+
+    def test_writer_files_take_the_block_reader(self, stay_go, tmp_path, monkeypatch):
+        def read_whole(path, name):
+            raise AssertionError(f"{path} read record by record")
+
+        monkeypatch.setattr(sspbounds.core, "read_json", read_whole)
+        golden, _ = load_problem(os.path.join(os.path.dirname(__file__), "data", "gridworld.json"))
+        rng = np.random.default_rng(6)
+        problems = [golden, stay_go, random_proper_mixed_ssp(rng), more_than_one_block_instance()]
+        path = tmp_path / "instance.json"
+        for problem in problems:
+            for convention in ("cost", "reward"):
+                save_problem(problem, path, convention)
+                loaded, read_convention = load_problem(path)
+                assert read_convention == convention
+                for field in ("row", "to", "prob", "cost"):
+                    expected = getattr(problem.transitions, field)
+                    assert getattr(loaded.transitions, field).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [None, 4096])
+    def test_block_reader_agrees_with_record_by_record_read(
+        self, block_bytes, tmp_path, monkeypatch
+    ):
+        indices = [0, 100, -1]
+        problem = from_discounted(*random_discounted(np.random.default_rng(5), 8, 3), 0.9)
+        path = tmp_path / "instance.json"
+        # reward form: the zero rewards must load as 0.0, not -0.0
+        text = written(problem, "reward", path)
+        if block_bytes:
+            monkeypatch.setattr(sspbounds.core, "_BLOCK_BYTES", block_bytes)
+            indices.append(record_across(text, 2 * block_bytes))
+        first, second = (text[record_span(text, i)] for i in (3, 4))
+        files = {
+            "as written": text,
+            "CRLF": text.replace("\n", "\r\n"),
+            "records out of order": text.replace(f"{first},\n{second}", f"{second},\n{first}"),
+            "no final newline": text[:-1],
+            "text after the end": text + "x",
+            "a brace for the final newline": text[:-1] + "}",
+            "byte order mark": "\ufeff" + text,
+            "size as 9.0": text.replace('"num_states": 9', '"num_states": 9.0', 1),
+            "header field added": text.replace("{", '{\n  "note": 1,', 1),
+            "unknown convention": text.replace('"reward"', '"utility"', 1),
+            "no records": written(entryless_instance(), "reward", path),
+            "non-finite numbers": written(unvalidated_instance(), "reward", path),
+        }
+        for name, edit in RECORD_EDITS.items():
+            for index in indices:
+                files[f"{name}, record {index}"] = edit_record(text, index, edit)
+        for name, content in files.items():
+            path.write_bytes(content.encode())
+            assert read_outcome(load_problem, path) == read_outcome(parsed_whole, path), name
+        path.write_text(text, encoding="utf-8")
+        loaded, _ = load_problem(path)
+        assert loaded.transitions.cost.tobytes() == problem.transitions.cost.tobytes()
+        assert (loaded.transitions.cost == 0.0).any()
+
+    def test_block_reader_across_full_blocks(self, tmp_path):
+        path = tmp_path / "blocks.json"
+        text = written(more_than_one_block_instance(), "cost", path)
+        across = record_across(text, 2 * sspbounds.core._BLOCK_BYTES)
+        files = [
+            edit_record(text, across, RECORD_EDITS["no integer part"]),
+            edit_record(text, across, RECORD_EDITS["duplicate record"]),
+            edit_record(text, across, RECORD_EDITS["other cost"]),
+            edit_record(text, -1, RECORD_EDITS["index out of range"]),
+        ]
+        for content in files:
+            path.write_bytes(content.encode())
+            assert read_outcome(load_problem, path) == read_outcome(parsed_whole, path)
+
+    def test_load_peak_does_not_grow_with_entries(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "instance.json"
+        peaks = []
+        # 17,692 and 40,404 entries, files of 2.4 and 5.4 MB
+        for num_states in (66, 100):
+            problem = from_discounted(*random_discounted(rng, num_states, num_actions=4), 0.9)
+            save_problem(problem, path)
+            tracemalloc.start()
+            try:
+                load_problem(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a block of text at a time; the whole text parsed into one dict per
+        # record peaked at 6.9 and 15.9 MB
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 8e6
 
     def test_record_error_messages(self, stay_go):
         records = problem_to_json_dict(stay_go)["transitions"]
