@@ -82,6 +82,20 @@ class Transitions:
         order = keep[np.lexsort((to[keep], row[keep]))]
         return cls(num_states, row[order], to[order], prob[order], cost[order])
 
+    @classmethod
+    def _adopt(cls, num_states: int, row, to, prob, cost) -> Transitions:
+        """A kernel made of the given columns themselves, not of copies.
+
+        The columns must be int64 (``row``, ``to``) and float arrays in CSR
+        order, every entry one to store, that nothing else holds for writing.
+        """
+        view = object.__new__(cls)
+        object.__setattr__(view, "num_states", num_states)
+        for name, column in zip(("row", "to", "prob", "cost"), (row, to, prob, cost)):
+            column.setflags(write=False)
+            object.__setattr__(view, name, column)
+        return view
+
     @cached_property
     def into(self) -> tuple[np.ndarray, np.ndarray]:
         """Reverse index ``(into_ptr, into_entries)``, built on first use.
@@ -96,12 +110,16 @@ class Transitions:
 
     def entering(self, states: np.ndarray) -> np.ndarray:
         """Indices of the entries into ``states``, grouped by target state in that order."""
-        into_ptr, into_entries = self.into
-        starts = into_ptr[states]
-        lengths = into_ptr[states + 1] - starts
-        # one arange over the concatenated ranges, shifted to each range's start
-        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return into_entries[shift + np.arange(shift.size)]
+        return csr_rows(*self.into, states)
+
+
+def csr_rows(ptr: np.ndarray, columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries ``columns[ptr[r] : ptr[r + 1]]`` of each of ``rows``, concatenated in order."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    # one arange over the concatenated ranges, shifted to each range's start
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return columns[shift + np.arange(shift.size)]
 
 
 def _stored(prob: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -376,12 +394,21 @@ def _header(data) -> tuple[int, int, int, str]:
 
 
 def _instance(
-    num_states: int, num_actions: int, terminal: int, convention: str, row, to, prob, cost
+    num_states: int, num_actions: int, terminal: int, convention: str, row, to, prob, cost,
+    ordered: bool = False,
 ) -> tuple[SspProblem, str]:
-    """The validated cost-form instance of a file's header and record columns."""
+    """The validated cost-form instance of a file's header and record columns.
+
+    The columns are this call's to change or keep. ``ordered`` ones are in
+    strictly increasing (row, to) order; when every entry is one to store,
+    they become the kernel as they are, with no copy.
+    """
     if convention == "reward":
-        cost = 0.0 - cost  # not -cost, which turns zero rewards into -0.0 costs
-    view = Transitions.from_entries(num_states, row, to, prob, cost)
+        np.subtract(0.0, cost, out=cost)  # not -cost, which turns zero rewards into -0.0 costs
+    if ordered and _stored(prob, cost).all():
+        view = Transitions._adopt(num_states, row, to, prob, cost)
+    else:
+        view = Transitions.from_entries(num_states, row, to, prob, cost)
     problem = SspProblem(num_states, num_actions, terminal, transitions=view)
     validate(problem)
     return problem, convention
@@ -534,7 +561,7 @@ def load_problem(path) -> tuple[SspProblem, str]:
         written = _read_written(file)
     if written is None:
         return problem_from_json_dict(read_json(path, "instance file"))
-    return _instance(*written)
+    return _instance(*written, ordered=True)
 
 
 def read_json(path, name: str):

@@ -23,6 +23,7 @@ from .core import (
     SspProblem,
     check_policy,
     check_values,
+    csr_rows,
     policy_cost_vector,
     policy_entry_probs,
 )
@@ -40,14 +41,33 @@ from .properness import is_proper
 IMPROVABLE_TOL = 1e-9
 
 # Exact policy evaluation refines its solution until the fixed-point
-# residual is at most this.
+# residual is at most the larger of this and EVAL_RESIDUAL_ULPS units in the
+# last place of max |J| + max |cost|, the largest term a backup sums:
+# rounding alone leaves a residual of a few of those ulps, so a target fixed
+# in absolute terms fails once costs are large. The two agree up to
+# max |J| + max |cost| = 16384.
 EVAL_RESIDUAL_TOL = 1e-10
+EVAL_RESIDUAL_ULPS = 32
 
-# Policy evaluation factors its linear system as a sparse matrix (scipy's
-# splu) from this many nonterminal states on, and densely (LAPACK) below:
-# the measured break-even of policy iteration on open gridworlds, where
-# splu's own cost and scipy's import (0.2-0.3 s) are repaid.
+# Policy evaluation factors its system densely (LAPACK) below this many
+# nonterminal states, and by one of two sparse methods from there on. This
+# was the break-even of policy iteration against splu on open gridworlds;
+# block elimination already ties with the dense solve at about 400 states,
+# but the cutoff stays, so that results below it keep their exact bits.
 SPARSE_SOLVE_STATES = 700
+
+# The first sparse method, block elimination over breadth-first levels in
+# numpy, is taken while its padded work, levels * (width**3 + LEVEL_WORK),
+# is at most BLOCK_SOLVE_WORK; scipy's splu, whose import alone takes about
+# 0.33 s, otherwise. A level's fixed cost in numpy calls (about 32 us
+# measured) is that of a block 30 wide, hence LEVEL_WORK. The budget is the
+# break-even of policy iteration against splu, its import included, on open
+# side-s gridworlds (2s - 1 levels of width s), where the two tie at side 45:
+# side 41 and below take blocks, 42 and above splu. The level search gives
+# up past MAX_LEVELS levels.
+BLOCK_SOLVE_WORK = 8_000_000
+LEVEL_WORK = 30**3
+MAX_LEVELS = BLOCK_SOLVE_WORK // LEVEL_WORK
 
 # Policy iteration also stops when two successive value functions agree to
 # this tolerance, guarding against cycling among equal-value policies.
@@ -222,14 +242,151 @@ def value_iteration(
     )
 
 
-def _policy_system(problem: SspProblem, policy: Policy):
-    """The system I - P over the nonterminal states and a solver for it.
+class _Levels(NamedTuple):
+    """Breadth-first levels of the nonterminal states, by position among them.
 
-    Returns ``(system, solve)``: ``system @ x`` applies the system and
-    ``solve(b)`` solves it. Below ``SPARSE_SOLVE_STATES`` nonterminal
-    states the system is a dense array, bitwise ``np.eye(m) - P``, solved
-    by LAPACK; from there on a sparse matrix, factored once by ``splu``,
-    which raises ``RuntimeError`` when the system is singular.
+    Position p lies in level ``level[p]`` at index ``slot[p]`` within it;
+    there are ``count`` levels, the widest holding ``width`` positions.
+    """
+
+    level: np.ndarray
+    slot: np.ndarray
+    count: int
+    width: int
+
+    @property
+    def work(self) -> int:
+        """The block elimination's padded work, a level of width w counting w**3."""
+        return self.count * (self.width**3 + LEVEL_WORK)
+
+
+def _levels(problem: SspProblem) -> _Levels | None:
+    """The instance's level structure, computed on the first call and kept with it."""
+    # kept the way functools.cached_property keeps a value on an instance
+    if "_levels" not in vars(problem):
+        vars(problem)["_levels"] = _breadth_first_levels(problem)
+    return vars(problem)["_levels"]
+
+
+def _breadth_first_levels(problem: SspProblem) -> _Levels | None:
+    """Level sets of the nonterminal states (Cuthill & McKee), or None past ``MAX_LEVELS``.
+
+    The graph joins two nonterminal states when an entry of any action
+    leads from one to the other, either way. Each connected component, in
+    the order of its lowest state, is searched breadth first from a
+    pseudo-peripheral state (George & Liu), and its levels follow those of
+    the components before it. Every entry then joins states of one level or
+    of adjacent levels, so each policy's I - P is block tridiagonal in this
+    order.
+    """
+    view, t, m = problem.transitions, problem.terminal, problem.num_states - 1
+    states = view.row // problem.num_actions
+    keep = (states != t) & (view.to != t) & (states != view.to)
+    i, j = states[keep], view.to[keep]
+    i, j = i - (i > t), j - (j > t)
+    source, adjacent = np.divmod(np.unique(np.concatenate((i * m + j, j * m + i))), m)
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=m), out=ptr[1:])
+    degree = np.diff(ptr)
+    # the search that last reached each position; -1 until one has
+    mark = np.full(m, -1, dtype=np.int64)
+
+    def search(root: int, label: int) -> list[np.ndarray] | None:
+        found, frontier = [], np.array([root])
+        mark[root] = label
+        while frontier.size:
+            found.append(frontier)
+            if len(levels) + len(found) > MAX_LEVELS:
+                return None
+            reached = csr_rows(ptr, adjacent, frontier)
+            frontier = np.unique(reached[mark[reached] != label])
+            mark[frontier] = label
+        return found
+
+    levels: list[np.ndarray] = []
+    label = 0
+    for root in range(m):
+        if mark[root] >= 0:
+            continue  # reached from an earlier component's root
+        component = search(root, label)
+        # again from a least-connected state of the last level, until no deeper
+        while component is not None:
+            last = component[-1]
+            label += 1
+            deeper = search(int(last[np.argmin(degree[last])]), label)
+            if deeper is not None and len(deeper) <= len(component):
+                break
+            component = deeper
+        if component is None:
+            return None
+        levels += component
+        label += 1
+    sizes = np.array([len(positions) for positions in levels], dtype=np.int64)
+    order = np.concatenate(levels)
+    level, slot = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    level[order] = np.repeat(np.arange(sizes.size), sizes)
+    slot[order] = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _Levels(level, slot, int(sizes.size), int(sizes.max()))
+
+
+def _block_solver(levels: _Levels, i: np.ndarray, j: np.ndarray, weights: np.ndarray):
+    """Solve of I - P, P holding ``weights`` at (``i``, ``j``), by block elimination over levels.
+
+    Level k's diagonal block D_k and its blocks L_k and U_k toward levels
+    k - 1 and k + 1 are padded to the widest level, with 1 on the padded
+    diagonal. The factors are the inverse Schur complements
+    S_k^-1, S_k = D_k - L_k S_(k-1)^-1 U_(k-1), and the multipliers
+    L_k S_(k-1)^-1. For a proper policy I - P is a nonsingular M-matrix,
+    and so is every Schur complement, so no pivoting between levels is
+    needed; LAPACK raises ``LinAlgError`` on an exactly singular one.
+    """
+    level, slot, count, width = levels
+    band = level[j] - level[i] + 1  # 0, 1 or 2: the block below, on or above the diagonal
+    cells = ((level[i] * 3 + band) * width + slot[i]) * width + slot[j]
+    blocks = 0.0 - np.bincount(cells, weights, minlength=count * 3 * width * width).reshape(
+        count, 3, width, width
+    )
+    lower, diagonal, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+    diagonal[:, np.arange(width), np.arange(width)] += 1.0
+    inverse = np.empty((count, width, width))
+    multiplier = np.zeros((count, width, width))
+    for k in range(count):
+        schur = diagonal[k]
+        if k:
+            multiplier[k] = lower[k] @ inverse[k - 1]
+            schur = schur - multiplier[k] @ upper[k - 1]
+        inverse[k] = np.linalg.inv(schur)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        # forward and back substitution over the levels, in place; the
+        # extra level stays 0, as nothing follows the last level
+        x = np.zeros((count + 1, width))
+        x[level, slot] = rhs
+        for k in range(1, count):
+            x[k] -= multiplier[k] @ x[k - 1]
+        for k in range(count - 1, -1, -1):
+            x[k] = inverse[k] @ (x[k] - upper[k] @ x[k + 1])
+        return x[level, slot]
+
+    return solve
+
+
+def _policy_system(problem: SspProblem, policy: Policy):
+    """The product with I - P over the nonterminal states, and a solver for it.
+
+    Returns ``(apply, solve)``: ``apply(x)`` is ``(I - P) @ x`` and
+    ``solve(b)`` solves ``(I - P) x = b`` with factors computed here once.
+    With m nonterminal states the factorization is:
+
+    - below ``SPARSE_SOLVE_STATES``, dense: the array bitwise
+      ``np.eye(m) - P``, solved by LAPACK, and ``apply`` its product;
+    - from there on, block elimination over the instance's breadth-first
+      levels (:func:`_block_solver`), while their padded work is at most
+      ``BLOCK_SOLVE_WORK``;
+    - else ``splu`` on a sparse matrix, which raises ``RuntimeError`` when
+      the system is singular. Only this path imports scipy.
+
+    Off the dense path, ``apply`` sums over the policy's entries.
     """
     view, t = problem.transitions, problem.terminal
     m = problem.num_states - 1
@@ -243,8 +400,19 @@ def _policy_system(problem: SspProblem, policy: Policy):
         # 0.0 - sum, then +1 on the diagonal: the rounding of np.eye(m) - P
         system = 0.0 - np.bincount(i * m + j, weights, minlength=m * m).reshape(m, m)
         system.flat[:: m + 1] += 1.0
-        return system, lambda rhs: np.linalg.solve(system, rhs)
-    # a load-time import would cost 0.2-0.3 s on runs that never get here
+        return (lambda x: system @ x), (lambda rhs: np.linalg.solve(system, rhs))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return x - np.bincount(i, weights * x[j], minlength=m)
+
+    # levels at most w wide hold all m states only if there are m / w or
+    # more, so the work is at least m * (w**2 + LEVEL_WORK / w), whose
+    # minimum over w is this; larger instances skip the level search
+    if m * 3 * (LEVEL_WORK / 2) ** (2 / 3) <= BLOCK_SOLVE_WORK:
+        levels = _levels(problem)
+        if levels is not None and levels.work <= BLOCK_SOLVE_WORK:
+            return apply, _block_solver(levels, i, j, weights)
+    # a load-time import would cost about 0.33 s on runs that never get here
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
@@ -256,7 +424,13 @@ def _policy_system(problem: SspProblem, policy: Policy):
         ),
         shape=(m, m),
     )
-    return system, splu(system).solve
+    return apply, splu(system).solve
+
+
+def _residual_target(values: np.ndarray, max_cost: float) -> float:
+    """The fixed-point residual exact evaluation refines ``values`` down to."""
+    scale = np.abs(values).max() + max_cost
+    return max(EVAL_RESIDUAL_TOL, EVAL_RESIDUAL_ULPS * float(np.spacing(scale)))
 
 
 def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
@@ -264,11 +438,13 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
 
     Solves the linear system (I - P) J = g restricted to the m nonterminal
     states, where P and g are the policy's transition kernel and one-step
-    costs, then refines until the fixed-point residual is at most 1e-10.
-    The system is built from the stored entries in O(nnz). For m below
-    ``SPARSE_SOLVE_STATES`` it is a dense array solved by LAPACK; from
-    there on it is a sparse matrix whose ``splu`` factors are computed once
-    and reused by every refinement round (scipy is imported only then).
+    costs, then refines until the fixed-point residual is at most the
+    larger of 1e-10 and ``EVAL_RESIDUAL_ULPS`` units in the last place of
+    max |J| + max |cost|, which is 1e-10 while that sum is below 16384.
+    The system is built from the stored entries in O(nnz) and factored
+    once, densely below ``SPARSE_SOLVE_STATES`` states and by block
+    elimination or ``splu`` from there on (see :func:`_policy_system`);
+    every refinement round reuses the factors.
 
     Raises :class:`ImproperPolicy` when the terminal state is unreachable
     from some state, and :class:`SingularSystem` if the solve fails
@@ -280,22 +456,22 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
 
     nt = problem.nonterminal
     rhs = policy_cost_vector(problem, policy)[nt]
+    max_cost = np.abs(problem.transitions.cost).max(initial=0.0)
     values = np.zeros(problem.num_states)
     try:
-        system, solve = _policy_system(problem, policy)
+        apply, solve = _policy_system(problem, policy)
         values[nt] = solve(rhs)
         for _ in range(5):
             residual = np.abs(policy_backup(problem, policy, values) - values).max()
-            if residual <= EVAL_RESIDUAL_TOL:
+            if residual <= _residual_target(values, max_cost):
                 return values
-            values[nt] += solve(rhs - system @ values[nt])
+            values[nt] += solve(rhs - apply(values[nt]))
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SingularSystem(f"policy evaluation failed: {exc}") from exc
     residual = np.abs(policy_backup(problem, policy, values) - values).max()
-    if residual > EVAL_RESIDUAL_TOL:
-        raise SingularSystem(
-            f"policy evaluation residual {residual:.3e} exceeds {EVAL_RESIDUAL_TOL:g}"
-        )
+    target = _residual_target(values, max_cost)
+    if residual > target:
+        raise SingularSystem(f"policy evaluation residual {residual:.3e} exceeds {target:g}")
     return values
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from sspbounds import (
     AllPoliciesProperReport,
     DeterministicPolicy,
+    GridSpec,
     ProperCheckReport,
     SspProblem,
     build_gridworld,
@@ -490,6 +491,97 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
         "min_step_cost": float(cost[steps].min()) if steps.any() else math.inf,
         "p_nonterminal": float(prob[steps].min()) if steps.any() else 1.0,
     }
+
+
+def open_grid(width: int, height: int | None = None, walls=(), slip_redirects=None) -> SspProblem:
+    """A gridworld with the +1 exit top right and the -1 exit bottom left, by default open."""
+    height = height or width
+    spec = GridSpec(
+        width=width, height=height, walls=tuple(walls), slip_redirects=slip_redirects or {},
+        exits={(0, width - 1): 1.0, (height - 1, 0): -1.0},
+    )
+    return build_gridworld(spec)
+
+
+def walled_grid(rng, width: int, height: int) -> SspProblem:
+    """A grid with random walls and random slip redirects.
+
+    A third of the cells at an odd row and odd column are walls, so the
+    even rows and columns keep every cell connected to the exits. A tenth
+    of the cells get one slip redirected to a cell at most two rows and
+    two columns away.
+    """
+    inner = [(r, c) for r in range(1, height - 1, 2) for c in range(1, width - 1, 2)]
+    walls = {inner[k] for k in rng.choice(len(inner), size=len(inner) // 3, replace=False)}
+    cells = [(r, c) for r in range(height) for c in range(width) if (r, c) not in walls]
+    redirects = {}
+    for k in rng.choice(len(cells), size=len(cells) // 10, replace=False):
+        r, c = cells[k]
+        action = int(rng.integers(4))
+        slip = (2, 3) if action < 2 else (0, 1)
+        landing = (
+            min(max(r + int(rng.integers(-2, 3)), 0), height - 1),
+            min(max(c + int(rng.integers(-2, 3)), 0), width - 1),
+        )
+        if landing not in walls:
+            redirects[((r, c), action, slip[int(rng.integers(2))])] = landing
+    return open_grid(width, height, walls, redirects)
+
+
+def joined_on_terminal(first: SspProblem, second: SspProblem) -> SspProblem:
+    """Two instances with the same actions side by side, sharing one terminal.
+
+    The nonterminal states of ``first`` come first, then those of
+    ``second``; no state of one reaches a state of the other.
+    """
+    terminal = first.num_states + second.num_states - 2
+    columns = []
+    for problem, offset in ((first, 0), (second, first.num_states - 1)):
+        label = np.full(problem.num_states, terminal)
+        label[problem.nonterminal] = offset + np.arange(problem.num_states - 1)
+        view = problem.transitions
+        states, actions = np.divmod(view.row, problem.num_actions)
+        keep = states != problem.terminal
+        columns.append((
+            label[states[keep]] * problem.num_actions + actions[keep],
+            label[view.to[keep]], view.prob[keep], view.cost[keep],
+        ))
+    loops = terminal * first.num_actions + np.arange(first.num_actions)
+    ones = np.ones(loops.size)
+    columns.append((loops, np.full(loops.size, terminal), ones, 0.0 * ones))
+    view = Transitions.from_entries(terminal + 1, *map(np.concatenate, zip(*columns)))
+    return SspProblem(terminal + 1, first.num_actions, terminal, transitions=view)
+
+
+def wide_random_ssp(rng, num_nonterminal: int, num_actions: int = 4) -> SspProblem:
+    """Random all-proper instance whose breadth-first levels are wide.
+
+    Every (state, action) pair exits with probability 0.05 and otherwise
+    moves to 3 random nonterminal states; costs are uniform in [-1, 1].
+    """
+    pairs = num_nonterminal * num_actions
+    targets = np.array([rng.choice(num_nonterminal, size=3, replace=False) for _ in range(pairs)])
+    weights = rng.uniform(0.2, 1.0, size=(pairs, 3))
+    weights *= 0.95 / weights.sum(axis=1, keepdims=True)
+    terminal = num_nonterminal
+    rows = np.arange(pairs + num_actions)
+    view = Transitions.from_entries(
+        num_nonterminal + 1,
+        np.concatenate((np.repeat(rows[:pairs], 3), rows)),
+        np.concatenate((targets.ravel(), np.full(rows.size, terminal))),
+        np.concatenate((weights.ravel(), np.full(pairs, 0.05), np.ones(num_actions))),
+        np.concatenate((rng.uniform(-1.0, 1.0, size=4 * pairs), np.zeros(num_actions))),
+    )
+    return SspProblem(num_nonterminal + 1, num_actions, terminal, transitions=view)
+
+
+def with_costs_scaled(problem: SspProblem, scale: float) -> SspProblem:
+    """The instance with every cost multiplied by ``scale``."""
+    view = problem.transitions
+    scaled = Transitions(problem.num_states, view.row, view.to, view.prob, view.cost * scale)
+    return SspProblem(
+        problem.num_states, problem.num_actions, problem.terminal, transitions=scaled
+    )
 
 
 def kernel_oracle_cases():

@@ -11,10 +11,12 @@ import pytest
 
 from helpers import (
     dense,
+    open_grid,
     random_all_proper_ssp,
     random_discounted,
     random_proper_mixed_ssp,
     stay_or_go_instance,
+    wide_random_ssp,
 )
 from sspbounds import (
     GridSpec,
@@ -62,6 +64,22 @@ def stay_go_file(stay_go, tmp_path):
     return str(path)
 
 
+def solve_loads_scipy(instance: str, algorithm: str, tmp_path) -> bool:
+    """Whether ``solve`` in a fresh interpreter imports scipy; the run must exit 0."""
+    script = (
+        "import sys; from sspbounds.cli import main; "
+        "print(main(sys.argv[1:]), 'scipy' in sys.modules)"
+    )
+    argv = ["solve", "--input", instance, "--algorithm", algorithm,
+            "--output", str(tmp_path / "trace.csv")]
+    env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert result.stdout.split()[:1] == ["0"], result.stderr
+    return result.stdout.split()[1] == "True"
+
+
 def values_file(tmp_path, name, values):
     path = tmp_path / name
     path.write_text(json.dumps({"values": list(values)}), encoding="utf-8")
@@ -82,19 +100,21 @@ class TestSolve:
 
     @pytest.mark.parametrize("algorithm", ["vi", "pi"])
     def test_small_solve_leaves_scipy_unloaded(self, grid_reward_file, algorithm, tmp_path):
-        # only the sparse policy solve imports scipy, which would add 0.2-0.3 s
+        # only the splu policy solve imports scipy, which would add about 0.33 s
         # to every run if it were imported with the package
-        script = (
-            "import sys; from sspbounds.cli import main; "
-            "print(main(sys.argv[1:]), 'scipy' in sys.modules)"
-        )
-        argv = ["solve", "--input", grid_reward_file, "--algorithm", algorithm,
-                "--output", str(tmp_path / "trace.csv")]
-        env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
-        )
-        assert result.stdout.split() == ["0", "False"], result.stderr
+        assert solve_loads_scipy(grid_reward_file, algorithm, tmp_path) is False
+
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_mid_size_solve_leaves_scipy_unloaded(self, algorithm, tmp_path):
+        # 900 nonterminal states in 59 levels at most 30 wide: block elimination
+        path = tmp_path / "grid30.json"
+        save_problem(open_grid(30), path, convention="reward")
+        assert solve_loads_scipy(str(path), algorithm, tmp_path) is False
+
+    def test_wide_levels_load_scipy(self, tmp_path):
+        path = tmp_path / "wide.json"
+        save_problem(wide_random_ssp(np.random.default_rng(2024), 750), path)
+        assert solve_loads_scipy(str(path), "pi", tmp_path) is True
 
     def test_zero_init_fails_when_not_improvable(self, stay_go_file, capsys):
         code = main(["solve", "--input", stay_go_file, "--init", "zero"])
@@ -396,13 +416,18 @@ class TestTraceBounds:
         path = tmp_path / "grid.json"
         save_problem(problem, path)
         views = []
-        original = sspbounds.core.Transitions.from_entries.__func__
 
-        def counted(cls, *args):
-            views.append(original(cls, *args))
-            return views[-1]
+        def counting(original):
+            def counted(cls, *args):
+                views.append(original(cls, *args))
+                return views[-1]
 
-        monkeypatch.setattr(sspbounds.core.Transitions, "from_entries", classmethod(counted))
+            return classmethod(counted)
+
+        # the loader adopts the block reader's columns; from_entries builds the rest
+        for name in ("from_entries", "_adopt"):
+            original = getattr(sspbounds.core.Transitions, name).__func__
+            monkeypatch.setattr(sspbounds.core.Transitions, name, counting(original))
         payload = solve_json(
             path, ["--algorithm", "vi", "--bounds", "general"], tmp_path
         )

@@ -714,3 +714,37 @@ class TestJsonFiles:
         problem, _ = problem_from_json_dict(data)
         assert dense(problem).prob[0, 0, 0] == 0.0
         assert dense(problem).prob[0, 0, 1] == 1.0
+
+
+class TestLoadedKernel:
+    """A writer file's columns become the kernel as read; other columns are sorted copies."""
+
+    def test_writer_file_columns_become_the_kernel(self, tmp_path, monkeypatch):
+        problem = from_discounted(*random_discounted(np.random.default_rng(9), 8, 3), 0.9)
+
+        def copied(cls, *args):
+            raise AssertionError("the loader copied the columns")
+
+        monkeypatch.setattr(Transitions, "from_entries", classmethod(copied))
+        path = tmp_path / "instance.json"
+        for convention in ("cost", "reward"):
+            save_problem(problem, path, convention)
+            loaded, _ = load_problem(path)
+            for field in ("row", "to", "prob", "cost"):
+                column = getattr(loaded.transitions, field)
+                assert column.tobytes() == getattr(problem.transitions, field).tobytes()
+                assert not column.flags.writeable
+
+    @pytest.mark.parametrize("convention", ["cost", "reward"])
+    def test_zero_probability_entry_is_dropped(self, stay_go, convention, tmp_path):
+        # in the writer's layout and order, but an entry of probability 0 is not stored
+        view = Transitions(
+            2, row=[0, 0, 1, 2, 3], to=[0, 1, 0, 1, 1], prob=[0.0] + [1.0] * 4,
+            cost=[5.0, 2.0, 1.0, 0.0, 0.0],
+        )
+        path = tmp_path / "instance.json"
+        save_problem(SspProblem(2, 2, 1, transitions=view), path, convention)
+        loaded, _ = load_problem(path)
+        for field in ("row", "to", "prob", "cost"):
+            column = getattr(loaded.transitions, field)
+            assert column.tobytes() == getattr(stay_go.transitions, field).tobytes()

@@ -9,10 +9,15 @@ from helpers import (
     delay_or_exit_instance,
     dense,
     free_delay_instance,
+    joined_on_terminal,
     kernel_oracle_cases,
+    open_grid,
     random_all_proper_ssp,
     random_proper_mixed_ssp,
     random_values,
+    walled_grid,
+    wide_random_ssp,
+    with_costs_scaled,
 )
 from sspbounds import (
     DeterministicPolicy,
@@ -45,8 +50,18 @@ from sspbounds.gridworld import (
     run_table2,
 )
 
-# SPARSE_SOLVE_STATES values that force each factorization of the policy system
-SOLVE_PATHS = {"dense": sys.maxsize, "sparse": 0}
+# dp constants that force each factorization of the policy system: dense
+# (LAPACK), block elimination over the levels, and sparse (splu)
+SOLVE_PATHS = {
+    "dense": {"SPARSE_SOLVE_STATES": sys.maxsize},
+    "block": {"SPARSE_SOLVE_STATES": 0, "BLOCK_SOLVE_WORK": sys.maxsize},
+    "sparse": {"SPARSE_SOLVE_STATES": 0, "BLOCK_SOLVE_WORK": -1},
+}
+
+
+def force_path(monkeypatch, path):
+    for name, value in SOLVE_PATHS[path].items():
+        monkeypatch.setattr(dp, name, value)
 
 
 def go_policy():
@@ -250,7 +265,7 @@ def splu_calls(monkeypatch):
 
 
 class TestSolvePaths:
-    """The dense (LAPACK) and sparse (splu) policy solves agree."""
+    """The dense (LAPACK), block and sparse (splu) policy solves agree."""
 
     def test_policy_iteration_agrees(self, monkeypatch, splu_calls):
         # no policy of the no-exit loop is proper, and policy iteration on
@@ -259,8 +274,8 @@ class TestSolvePaths:
         for name, problem in cases:
             policy = uniform_random_policy(problem)
             results = {}
-            for path, cutoff in SOLVE_PATHS.items():
-                monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", cutoff)
+            for path in SOLVE_PATHS:
+                force_path(monkeypatch, path)
                 splu_calls.clear()
                 results[path] = policy_iteration(problem, policy)
                 # one factorization per evaluation: every trace row's, or all
@@ -268,17 +283,18 @@ class TestSolvePaths:
                 rows = len(results[path][2])
                 expected = (rows - 1, rows) if path == "sparse" else (0,)
                 assert len(splu_calls) in expected, name
-            (d_policy, _, d_trace), (s_policy, _, s_trace) = results.values()
-            assert np.array_equal(d_policy.actions, s_policy.actions), name
-            assert len(d_trace) == len(s_trace), name
-            for d_record, s_record in zip(d_trace.records, s_trace.records):
-                scale = np.abs(d_record.values).max()
-                assert np.allclose(
-                    s_record.values, d_record.values, rtol=1e-12, atol=1e-12 * scale
-                ), name
+            d_policy, _, d_trace = results.pop("dense")
+            for s_policy, _, s_trace in results.values():
+                assert np.array_equal(d_policy.actions, s_policy.actions), name
+                assert len(d_trace) == len(s_trace), name
+                for d_record, s_record in zip(d_trace.records, s_trace.records):
+                    scale = np.abs(d_record.values).max()
+                    assert np.allclose(
+                        s_record.values, d_record.values, rtol=1e-12, atol=1e-12 * scale
+                    ), name
 
     def test_tables_on_the_sparse_path(self, grid, monkeypatch, splu_calls):
-        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", 0)
+        force_path(monkeypatch, "sparse")
         assert compare_table1(run_table1(grid, "vi"), EXPECTED_TABLE1_VI, "vi") == []
         assert compare_table1(run_table1(grid, "pi"), EXPECTED_TABLE1_PI, "pi") == []
         assert compare_table2(run_table2(grid)) == []
@@ -286,6 +302,7 @@ class TestSolvePaths:
 
     def test_cutoff_counts_nonterminal_states(self, grid, monkeypatch, splu_calls):
         policy = uniform_random_policy(grid)
+        monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", -1)
         monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", grid.num_states)
         evaluate_policy(grid, policy)
         assert splu_calls == []
@@ -299,7 +316,7 @@ class TestSolvePaths:
     ):
         # every solve is off by a relative 1e-6, so only the refinement rounds
         # reach the 1e-10 residual
-        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        force_path(monkeypatch, path)
         exact_system = dp._policy_system
         systems, solves = [], []
 
@@ -322,7 +339,7 @@ class TestSolvePaths:
     @pytest.mark.parametrize("path", SOLVE_PATHS)
     def test_terminal_in_the_middle(self, grid, grid_uniform_values, path, monkeypatch):
         # relabel state s as label[s], which moves the terminal from last to index 5
-        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        force_path(monkeypatch, path)
         label = np.roll(np.arange(grid.num_states), grid.num_states // 2)
         view = grid.transitions
         states, actions = np.divmod(view.row, grid.num_actions)
@@ -342,11 +359,11 @@ class TestSolvePaths:
     @pytest.mark.parametrize("path", SOLVE_PATHS)
     def test_singular_system(self, path, monkeypatch):
         # properness is bypassed, so a policy with a closed free loop reaches the solve
-        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", SOLVE_PATHS[path])
+        force_path(monkeypatch, path)
         monkeypatch.setattr(
             dp, "is_proper", lambda problem, policy: ProperCheckReport(True, (), 1, 1.0)
         )
-        cause = np.linalg.LinAlgError if path == "dense" else RuntimeError
+        cause = RuntimeError if path == "sparse" else np.linalg.LinAlgError
         stall = (free_delay_instance(), [0, 0])  # 0 -> 0 at no cost
         cycle = (delay_or_exit_instance(), [0, 1, 0])  # 0 -> 1 -> 0
         for problem, actions in (stall, cycle):
@@ -354,6 +371,156 @@ class TestSolvePaths:
             with pytest.raises(SingularSystem, match="policy evaluation failed") as info:
                 evaluate_policy(problem, policy)
             assert isinstance(info.value.__cause__, cause)
+
+    def test_tables_on_the_block_path(self, grid, monkeypatch, splu_calls):
+        force_path(monkeypatch, "block")
+        assert compare_table1(run_table1(grid, "vi"), EXPECTED_TABLE1_VI, "vi") == []
+        assert compare_table1(run_table1(grid, "pi"), EXPECTED_TABLE1_PI, "pi") == []
+        assert compare_table2(run_table2(grid)) == []
+        assert splu_calls == []
+
+    def test_block_budget_counts_padded_work(self, monkeypatch, splu_calls):
+        problem = open_grid(8)
+        policy = uniform_random_policy(problem)
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", 0)
+        levels = dp._levels(problem)
+        assert (levels.count, levels.width) == (15, 8)
+        assert levels.work == 15 * (8**3 + dp.LEVEL_WORK)
+        monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", levels.work)
+        evaluate_policy(problem, policy)
+        assert splu_calls == []
+        monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", levels.work - 1)
+        evaluate_policy(problem, policy)
+        assert splu_calls == [problem.num_states - 1]
+
+    def test_levels_start_from_a_peripheral_state(self):
+        # relabeled so that the lowest state is the grid's centre: a search
+        # from there has 9 levels up to 14 wide, one from a corner 15 of 8
+        grid = open_grid(8)
+        cells = np.arange(grid.num_states - 1)
+        centre = 4 * 8 + 4
+        label = np.append((cells - centre) % cells.size, cells.size)
+        view = grid.transitions
+        states, actions = np.divmod(view.row, grid.num_actions)
+        relabeled = SspProblem(
+            grid.num_states, grid.num_actions, grid.terminal,
+            transitions=Transitions.from_entries(
+                grid.num_states, label[states] * grid.num_actions + actions,
+                label[view.to], view.prob, view.cost,
+            ),
+        )
+        levels = dp._breadth_first_levels(relabeled)
+        assert (levels.count, levels.width) == (15, 8)
+
+    def test_instances_too_large_for_blocks_skip_the_level_search(
+        self, monkeypatch, splu_calls
+    ):
+        # with m states, any levels do at least m * 3 * (LEVEL_WORK / 2)**(2/3) work
+        problem = open_grid(8)
+        bound = (problem.num_states - 1) * 3 * (dp.LEVEL_WORK / 2) ** (2 / 3)
+        assert dp._breadth_first_levels(problem).work >= bound
+        monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", 0)
+        monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", int(bound) - 1)
+        evaluate_policy(problem, uniform_random_policy(problem))
+        assert splu_calls == [problem.num_states - 1]
+        assert "_levels" not in vars(problem)
+
+    def test_deep_instances_stop_the_level_search(self, monkeypatch, splu_calls):
+        problem = open_grid(8)  # 15 levels
+        force_path(monkeypatch, "block")
+        monkeypatch.setattr(dp, "MAX_LEVELS", 14)
+        assert dp._breadth_first_levels(problem) is None
+        evaluate_policy(problem, uniform_random_policy(problem))
+        assert splu_calls == [problem.num_states - 1]
+        monkeypatch.setattr(dp, "MAX_LEVELS", 15)
+        assert dp._breadth_first_levels(problem).count == 15
+
+    def test_default_rule_on_open_grids(self, splu_calls):
+        # at the budget, side 41 and below take blocks, side 42 and above splu
+        for side, factored in ((30, []), (41, []), (42, [42 * 42])):
+            problem = open_grid(side)
+            evaluate_policy(problem, uniform_random_policy(problem))
+            assert splu_calls == factored, side
+            splu_calls.clear()
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_values_scale_with_the_costs(self, path, monkeypatch):
+        # the residual target follows max |J| + max |cost|; with 1e-10 alone
+        # the 4x4 grid failed at 1e6 and the 30x30 grid at 1e4 and 1e6
+        force_path(monkeypatch, path)
+        # on the random instance costs of up to 0.92 cancel to values of 0.0033,
+        # so the rounding of a backup follows the costs, not J
+        cancelling = random_all_proper_ssp(np.random.default_rng(57))
+        for problem in (open_grid(4), open_grid(30), cancelling):
+            policy = uniform_random_policy(problem)
+            unit = evaluate_policy(problem, policy)
+            for k in range(-8, 9):
+                scale = 10.0**k
+                values = evaluate_policy(with_costs_scaled(problem, scale), policy)
+                error = np.abs(values - scale * unit).max()
+                assert error <= 1e-13 * scale * np.abs(unit).max(), (problem.num_states, k)
+
+
+def sweep_instances():
+    """(name, problem) pairs of the solve-path sweep, seeded; each has m >= 700."""
+    rng = np.random.default_rng(2024)
+    return [
+        ("walled-grid", walled_grid(rng, 30, 26)),
+        ("joined-grids", joined_on_terminal(open_grid(20), walled_grid(rng, 20, 20))),
+        ("wide-random", wide_random_ssp(rng, 750)),
+    ]
+
+
+class TestSolvePathSweep:
+    """Every factorization gives the same values on larger, less regular instances."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return sweep_instances()
+
+    def test_default_rule_picks_blocks_for_narrow_levels_only(self, instances, splu_calls):
+        for name, problem in instances:
+            assert problem.num_states - 1 >= dp.SPARSE_SOLVE_STATES, name
+            splu_calls.clear()
+            evaluate_policy(problem, uniform_random_policy(problem))
+            expected = [problem.num_states - 1] if name == "wide-random" else []
+            assert splu_calls == expected, name
+
+    def test_levels_make_the_system_block_tridiagonal(self, instances):
+        for name, problem in instances:
+            level, slot, count, width = dp._breadth_first_levels(problem)
+            m = problem.num_states - 1
+            # every position gets its own cell of the padded levels
+            assert np.unique(level * width + slot).size == m, name
+            assert (slot < width).all() and level.max() == count - 1, name
+            view, t = problem.transitions, problem.terminal
+            states = view.row // problem.num_actions
+            inner = (states != t) & (view.to != t)
+            i, j = states[inner], view.to[inner]
+            gap = level[i - (i > t)] - level[j - (j > t)]
+            assert np.abs(gap).max() <= 1, name
+        joined = dict(instances)["joined-grids"]
+        level = dp._breadth_first_levels(joined).level
+        # the two grids are two components, one after the other
+        assert level[:400].max() < level[400:].min()
+
+    def test_paths_agree(self, instances, monkeypatch):
+        rng = np.random.default_rng(7)
+        for name, problem in instances:
+            policies = [uniform_random_policy(problem)] + [
+                StochasticPolicy(rng.dirichlet(np.ones(problem.num_actions), problem.num_states))
+                for _ in range(2)
+            ]
+            results = {}
+            for path in SOLVE_PATHS:
+                force_path(monkeypatch, path)
+                values = [evaluate_policy(problem, policy) for policy in policies]
+                results[path] = values, policy_iteration(problem, policies[0])[1]
+            dense_values, dense_optimum = results.pop("dense")
+            for path, (values, optimum) in results.items():
+                for expected, got in zip(dense_values + [dense_optimum], values + [optimum]):
+                    scale = np.abs(expected).max()
+                    assert np.abs(got - expected).max() <= 1e-12 * scale, (name, path)
 
 
 class TestPolicyIteration:
