@@ -611,7 +611,8 @@ def _read_written(file) -> tuple | None:
     # the bound keeps every row index exact in floats
     if num_states * num_actions > 2**53 or _header_text(*header).encode() != header_text:
         return None
-    blocks, last, at_end = [], (-1.0, -1.0), False
+    # each column's blocks, kept apart so that each can be freed once joined
+    columns, last, at_end = ([], [], [], []), (-1.0, -1.0), False
     while not at_end:
         carried = len(text)  # what follows the last complete record so far
         text += file.read(_BLOCK_BYTES)
@@ -625,12 +626,18 @@ def _read_written(file) -> tuple | None:
             block = text[: -len(_RECORDS_END)] + b",\n"
         else:
             return None
-        columns = _block_columns(block, num_states, num_actions, last)
-        if columns is None:
+        parts = _block_columns(block, num_states, num_actions, last)
+        if parts is None:
             return None
-        blocks.append(columns)
-        last = (columns[0][-1], columns[1][-1])
-    return (*header, *(np.concatenate(column) for column in zip(*blocks)))
+        for column, part in zip(columns, parts):
+            column.append(part)
+        last = (parts[0][-1], parts[1][-1])
+    # one column at a time, so that at most one joined column is held twice
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return (*header, *joined)
 
 
 def _records_in(block: bytes) -> int:

@@ -427,10 +427,73 @@ def _policy_system(problem: SspProblem, policy: Policy):
     return apply, splu(system).solve
 
 
-def _residual_target(values: np.ndarray, max_cost: float) -> float:
-    """The fixed-point residual exact evaluation refines ``values`` down to."""
+def _fixed_point_gap(
+    problem: SspProblem, policy: Policy, values: np.ndarray, max_cost: float
+) -> tuple[float, float]:
+    """The fixed-point residual of solved ``values`` and the one exact evaluation refines it to."""
+    if not np.isfinite(values).all():
+        raise SingularSystem("policy evaluation gave non-finite values")
+    residual = np.abs(policy_backup(problem, policy, values) - values).max()
     scale = np.abs(values).max() + max_cost
-    return max(EVAL_RESIDUAL_TOL, EVAL_RESIDUAL_ULPS * float(np.spacing(scale)))
+    return residual, max(EVAL_RESIDUAL_TOL, EVAL_RESIDUAL_ULPS * float(np.spacing(scale)))
+
+
+def _solved_values(problem: SspProblem, policy: Policy) -> np.ndarray:
+    """The solution of the policy's system, refined to the residual target.
+
+    Raises :class:`SingularSystem` when the factorization fails, the
+    values are not finite, or five refinement rounds leave the residual
+    above its target.
+    """
+    nt = problem.nonterminal
+    rhs = policy_cost_vector(problem, policy)[nt]
+    max_cost = np.abs(problem.transitions.cost).max(initial=0.0)
+    values = np.zeros(problem.num_states)
+    # the system of an improper policy is singular, or nearly so, and its
+    # solve may overflow: the finiteness test rejects what that gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            apply, solve = _policy_system(problem, policy)
+            values[nt] = solve(rhs)
+            for _ in range(5):
+                residual, target = _fixed_point_gap(problem, policy, values, max_cost)
+                if residual <= target:
+                    return values
+                values[nt] += solve(rhs - apply(values[nt]))
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            raise SingularSystem(f"policy evaluation failed: {exc}") from exc
+        residual, target = _fixed_point_gap(problem, policy, values, max_cost)
+    if residual > target:
+        raise SingularSystem(f"policy evaluation residual {residual:.3e} exceeds {target:g}")
+    return values
+
+
+def _certified_proper(problem: SspProblem, policy: Policy, values: np.ndarray) -> bool:
+    """Whether ``values``, or ``-values``, proves the policy proper by descent.
+
+    The test holds for a potential when every nonterminal state has an
+    entry the policy uses that enters the terminal or moves to a state of
+    strictly lower potential. Any real vector that passes is a ranking
+    function: a strictly decreasing path cannot revisit a state, so it
+    reaches the terminal from every state with positive probability,
+    whatever the rounding of the vector. NaN fails every comparison and
+    +-inf keeps the order strict. With positive costs a policy's values
+    descend toward the terminal; the all-proper companion's, at -1 per
+    step, rise toward it. Each direction is tested over all states: mixing
+    them state by state would pass a two-state cycle.
+    """
+    view, t = problem.transitions, problem.terminal
+    states = view.row // problem.num_actions
+    used = policy_entry_probs(problem, policy) > 0.0
+    exits = used & (view.to == t)
+    for potential in (values, -values):
+        descends = exits | (used & (potential[view.to] < potential[states]))
+        certified = np.zeros(problem.num_states, dtype=bool)
+        certified[states[descends]] = True
+        certified[t] = True
+        if certified.all():
+            return True
+    return False
 
 
 def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
@@ -446,32 +509,27 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
     elimination or ``splu`` from there on (see :func:`_policy_system`);
     every refinement round reuses the factors.
 
-    Raises :class:`ImproperPolicy` when the terminal state is unreachable
-    from some state, and :class:`SingularSystem` if the solve fails
+    The solved values then prove the policy proper when they descend
+    toward the terminal, or rise toward it, along the entries the policy
+    uses (see :func:`_certified_proper`). Only when neither holds, or the
+    solve fails, is properness decided by :func:`is_proper`. Raises
+    :class:`ImproperPolicy` when the terminal state is unreachable from
+    some state, and otherwise :class:`SingularSystem` if the solve failed
     numerically (which a proper policy should never cause).
     """
+    try:
+        values = _solved_values(problem, policy)
+    except SingularSystem as exc:
+        failure = exc
+    else:
+        if _certified_proper(problem, policy, values):
+            return values
+        failure = None
     report = is_proper(problem, policy)
     if not report.proper:
         raise ImproperPolicy(report.unreachable_states)
-
-    nt = problem.nonterminal
-    rhs = policy_cost_vector(problem, policy)[nt]
-    max_cost = np.abs(problem.transitions.cost).max(initial=0.0)
-    values = np.zeros(problem.num_states)
-    try:
-        apply, solve = _policy_system(problem, policy)
-        values[nt] = solve(rhs)
-        for _ in range(5):
-            residual = np.abs(policy_backup(problem, policy, values) - values).max()
-            if residual <= _residual_target(values, max_cost):
-                return values
-            values[nt] += solve(rhs - apply(values[nt]))
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise SingularSystem(f"policy evaluation failed: {exc}") from exc
-    residual = np.abs(policy_backup(problem, policy, values) - values).max()
-    target = _residual_target(values, max_cost)
-    if residual > target:
-        raise SingularSystem(f"policy evaluation residual {residual:.3e} exceeds {target:g}")
+    if failure is not None:
+        raise failure
     return values
 
 

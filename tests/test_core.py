@@ -591,6 +591,28 @@ class TestJsonFiles:
         assert peaks[1] < 1.1 * peaks[0]
         assert peaks[1] < 8e6
 
+    def test_block_reader_peak_is_about_its_columns(self, tmp_path, monkeypatch):
+        # 40,404 entries (1.3 MB of columns) in a 5.4 MB file of 64 kB blocks
+        monkeypatch.setattr(sspbounds.core, "_BLOCK_BYTES", 1 << 16)
+        problem = from_discounted(*random_discounted(np.random.default_rng(3), 100, 4), 0.9)
+        path = tmp_path / "instance.json"
+        save_problem(problem, path)
+        with open(path, "rb") as file:
+            tracemalloc.start()
+            try:
+                written = sspbounds.core._read_written(file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        columns = written[4:]
+        # the blocks' columns and one joined column at most; joining all four
+        # while every block was alive peaked at 2.04 times the columns
+        assert peak < 1.5 * sum(column.nbytes for column in columns)
+        for field, column in zip(("row", "to", "prob", "cost"), columns):
+            expected = getattr(problem.transitions, field)
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes()
+
     def test_record_error_messages(self, stay_go):
         records = problem_to_json_dict(stay_go)["transitions"]
         go, stay = records[0], records[1]

@@ -15,6 +15,7 @@ from helpers import (
     random_all_proper_ssp,
     random_proper_mixed_ssp,
     random_values,
+    reference_is_proper,
     walled_grid,
     wide_random_ssp,
     with_costs_scaled,
@@ -250,6 +251,132 @@ class TestEvaluatePolicy:
             assert np.abs(backed - values).max() <= 1e-10
 
 
+def random_policy(rng, problem: SspProblem, stochastic: bool):
+    """A random policy that mostly avoids action 0, the sure exit of ``random_proper_mixed_ssp``.
+
+    A deterministic one takes action 0 only where it is the only action; a
+    stochastic one leaves out about half the actions of a state.
+    """
+    n, a = problem.num_states, problem.num_actions
+    if not stochastic:
+        return DeterministicPolicy(actions=rng.integers(min(1, a - 1), a, size=n))
+    weights = rng.uniform(0.1, 1.0, size=(n, a)) * (rng.random((n, a)) < 0.5)
+    weights[np.arange(n), rng.integers(a, size=n)] = 1.0
+    return StochasticPolicy(weights=weights / weights.sum(axis=1, keepdims=True))
+
+
+def random_potential(rng, size: int) -> np.ndarray:
+    """Random reals, or integers with ties, a fifth of them NaN or +-inf."""
+    if rng.random() < 0.5:
+        potential = rng.uniform(-2.0, 2.0, size)
+    else:
+        potential = rng.integers(-1, 2, size).astype(float)
+    special = rng.random(size) < 0.2
+    potential[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return potential
+
+
+@pytest.fixture
+def is_proper_calls(monkeypatch):
+    """Records the policy of every properness search ``evaluate_policy`` makes."""
+    calls = []
+    search = dp.is_proper
+
+    def counted(problem, policy):
+        calls.append(policy)
+        return search(problem, policy)
+
+    monkeypatch.setattr(dp, "is_proper", counted)
+    return calls
+
+
+class TestDescentCertificate:
+    """Evaluation proves a policy proper from its solved values, else searches."""
+
+    def test_accepts_only_proper_policies(self):
+        rng = np.random.default_rng(73)
+        problems = [free_delay_instance(), delay_or_exit_instance()]
+        for _ in range(60):
+            problems += [random_proper_mixed_ssp(rng), random_all_proper_ssp(rng)]
+        accepted, improper = 0, 0
+        for problem in problems:
+            for k in range(20):
+                policy = random_policy(rng, problem, stochastic=k % 2 == 1)
+                potential = random_potential(rng, problem.num_states)
+                proper = reference_is_proper(problem, policy).proper
+                if dp._certified_proper(problem, policy, potential):
+                    assert proper
+                    accepted += 1
+                improper += not proper
+        assert accepted >= 500 and improper >= 200
+
+    def test_directions_are_not_mixed(self):
+        # the cycle 0 -> 1 -> 0 descends from 1 and rises from 0
+        problem = delay_or_exit_instance()
+        cycle = DeterministicPolicy(actions=np.array([0, 1, 0]))
+        assert not dp._certified_proper(problem, cycle, np.array([0.0, 1.0, 0.0]))
+        # exiting from 1, the values (0.75, 1) rise toward the terminal
+        exit_now = DeterministicPolicy(actions=np.array([0, 0, 0]))
+        assert dp._certified_proper(problem, exit_now, np.array([0.75, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_improper_policies_on_every_path(self, path, monkeypatch):
+        # their systems are singular or nearly so; any warning fails the test
+        force_path(monkeypatch, path)
+        rng = np.random.default_rng(79)
+        cases = [
+            (free_delay_instance(), DeterministicPolicy(actions=np.array([0, 0]))),
+            (delay_or_exit_instance(), DeterministicPolicy(actions=np.array([0, 1, 0]))),
+        ]
+        for k in range(200):
+            problem = random_proper_mixed_ssp(rng)
+            cases.append((problem, random_policy(rng, problem, stochastic=k % 2 == 1)))
+        improper = 0
+        for problem, policy in cases:
+            report = reference_is_proper(problem, policy)
+            if report.proper:
+                continue
+            improper += 1
+            with pytest.raises(ImproperPolicy) as info:
+                evaluate_policy(problem, policy)
+            assert info.value.unreachable_states == report.unreachable_states
+        assert improper >= 50
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_non_finite_solve(self, bad, stay_go, monkeypatch):
+        # 1e308 is finite, but its refinement overflows
+        exact_system = dp._policy_system
+
+        def broken_system(problem, policy):
+            apply, _ = exact_system(problem, policy)
+            return apply, lambda rhs: np.full_like(rhs, bad)
+
+        monkeypatch.setattr(dp, "_policy_system", broken_system)
+        with pytest.raises(ImproperPolicy) as info:
+            evaluate_policy(stay_go, stay_policy())
+        assert info.value.unreachable_states == (0,)
+        with pytest.raises(SingularSystem, match="non-finite"):
+            evaluate_policy(stay_go, go_policy())
+
+    def test_policy_iteration_searches_no_properness(self, grid, is_proper_calls, splu_calls):
+        # the 12-state gridworld is solved densely; the open side-27 grid's
+        # 729 nonterminal states take block elimination
+        for problem in (grid, open_grid(27)):
+            policy_iteration(problem, uniform_random_policy(problem))
+        assert is_proper_calls == []
+        assert splu_calls == []
+
+    def test_search_when_the_values_neither_descend_nor_rise(self, is_proper_calls):
+        # the chain 0 -> 1 -> 2 -> terminal at costs -1, 1, 1 has values (1, 2, 1)
+        view = Transitions(4, row=[0, 1, 2, 3], to=[1, 2, 3, 3], prob=[1.0] * 4, cost=[-1, 1, 1, 0])
+        problem = SspProblem(num_states=4, num_actions=1, terminal=3, transitions=view)
+        policy = DeterministicPolicy(actions=np.zeros(4, dtype=int))
+        values = evaluate_policy(problem, policy)
+        assert len(is_proper_calls) == 1
+        assert values.tolist() == [1.0, 2.0, 1.0, 0.0]
+        assert values.tobytes() == dp._solved_values(problem, policy).tobytes()
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Records the size of every system ``splu`` factors."""
@@ -358,7 +485,9 @@ class TestSolvePaths:
 
     @pytest.mark.parametrize("path", SOLVE_PATHS)
     def test_singular_system(self, path, monkeypatch):
-        # properness is bypassed, so a policy with a closed free loop reaches the solve
+        # the solve of a policy with a closed free loop fails before any
+        # properness check; the patched fallback then calls the policy proper,
+        # so the failure is reported as it would be for a proper policy
         force_path(monkeypatch, path)
         monkeypatch.setattr(
             dp, "is_proper", lambda problem, policy: ProperCheckReport(True, (), 1, 1.0)
