@@ -333,7 +333,8 @@ def termination_horizon(
     exceeds the reference values everywhere, no policy at least as good as
     ``values`` can keep delaying, and m = k + 1 (or m = k when every state
     became inevitable first). Each stage costs O(nnz) in the nonzero
-    transitions.
+    transitions it can still use; the arrays of those are rebuilt only at
+    the stages where states join.
 
     ``criterion`` selects the stopping comparison: ``"text"`` adds the
     cheapest terminal-transition cost before comparing (the default),
@@ -379,35 +380,44 @@ def _search_horizon(
 
     k = 0
     while True:
-        outside = joined_at < 0
-        if not outside.any():
+        if frontier.size:
+            outside = np.flatnonzero(joined_at < 0)
+            outside_values = values[outside]
+        if not outside.size:
             return k, joined_at, stage_values
-        if (stage_values[outside] + offset > values[outside]).all():
+        if (stage_values[outside] + offset > outside_values).all():
             return k + 1, joined_at, stage_values
         if k >= max_stages:
             raise HorizonCapExceeded(k)
         k += 1
-        # Actions are usable at stage k only if they carry no mass into the
-        # stage-(k-1) inevitable set; only the rows entering the states that
-        # joined last can newly lose that. Most stages have no such state.
         if frontier.size:
+            # Actions are usable at stage k only if they carry no mass into the
+            # stage-(k-1) inevitable set; only the rows entering the states
+            # that joined last can newly lose that, and only then does the
+            # set of usable entries change. Most stages have no such state.
             risky_rows[view.row[view.entering(frontier)]] = True
-        can_avoid = ~risky.all(axis=1)
-        joining = outside & ~can_avoid
-        staying = outside & can_avoid
-        # stale values on the inevitable set only reach risky rows
-        backed = np.bincount(
-            view.row,
-            view.prob * (view.cost + stage_values[view.to]),
-            minlength=num_states * num_actions,
-        ).reshape(num_states, num_actions)
-        backed[risky] = np.inf
-        new_values = np.where(staying, backed.min(axis=1), stage_values)
-        if not joining.any() and np.array_equal(new_values, stage_values):
+            usable = ~risky[outside]
+            can_avoid = usable.any(axis=1)
+            frontier, staying, usable = outside[~can_avoid], outside[can_avoid], usable[can_avoid]
+            # the staying states' usable rows, ranked in row order, and their
+            # entries in entry order; each state's rows are consecutive
+            rows = (staying[:, None] * num_actions + np.arange(num_actions))[usable]
+            rank = np.full(num_states * num_actions, -1, dtype=np.int64)
+            rank[rows] = np.arange(rows.size)
+            entry_rank = rank[view.row]
+            kept = entry_rank >= 0
+            entry_rank, to = entry_rank[kept], view.to[kept]
+            prob, cost = view.prob[kept], view.cost[kept]
+            per_state = usable.sum(axis=1)
+            starts = np.cumsum(per_state) - per_state
+        new_values = stage_values.copy()
+        if staying.size:
+            backed = np.bincount(entry_rank, prob * (cost + stage_values[to]), minlength=rows.size)
+            new_values[staying] = np.minimum.reduceat(backed, starts)
+        if not frontier.size and np.array_equal(new_values, stage_values):
             # Every later stage would repeat this one, so the stop test that
             # just failed would fail forever.
             raise HorizonCapExceeded(k)
-        frontier = np.nonzero(joining)[0]
         joined_at[frontier] = k
         stage_values = new_values
 

@@ -122,6 +122,18 @@ def csr_rows(ptr: np.ndarray, columns: np.ndarray, rows: np.ndarray) -> np.ndarr
     return columns[shift + np.arange(shift.size)]
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call in numpy 2, which
+    costs about 15 ms, a tenth of a policy iteration run on a 30x30 grid.
+    """
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _stored(prob: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Entries the kernel keeps: nonzero probabilities (NaN too) and non-finite costs."""
     return (prob != 0.0) | ~np.isfinite(cost)

@@ -24,6 +24,7 @@ from .core import (
     check_policy,
     check_values,
     csr_rows,
+    distinct,
     policy_cost_vector,
     policy_entry_probs,
 )
@@ -52,20 +53,21 @@ EVAL_RESIDUAL_ULPS = 32
 # Policy evaluation factors its system densely (LAPACK) below this many
 # nonterminal states, and by one of two sparse methods from there on. This
 # was the break-even of policy iteration against splu on open gridworlds;
-# block elimination already ties with the dense solve at about 400 states,
+# block elimination already ties with the dense solve at about 360 states,
 # but the cutoff stays, so that results below it keep their exact bits.
 SPARSE_SOLVE_STATES = 700
 
 # The first sparse method, block elimination over breadth-first levels in
-# numpy, is taken while its padded work, levels * (width**3 + LEVEL_WORK),
-# is at most BLOCK_SOLVE_WORK; scipy's splu, whose import alone takes about
-# 0.33 s, otherwise. A level's fixed cost in numpy calls (about 32 us
-# measured) is that of a block 30 wide, hence LEVEL_WORK. The budget is the
-# break-even of policy iteration against splu, its import included, on open
-# side-s gridworlds (2s - 1 levels of width s), where the two tie at side 45:
-# side 41 and below take blocks, 42 and above splu. The level search gives
-# up past MAX_LEVELS levels.
-BLOCK_SOLVE_WORK = 8_000_000
+# numpy, is taken while its work, the sum over levels of w**3 + LEVEL_WORK
+# for a level of w states, is at most BLOCK_SOLVE_WORK; scipy's splu, whose
+# import alone takes about 0.3 s, otherwise. A level's fixed cost in numpy
+# calls (about 32 us measured) is that of a block 30 wide, hence
+# LEVEL_WORK. The budget is the break-even of policy iteration against
+# splu, its import included, on open side-s gridworlds (2s - 1 levels of
+# widths 1, 2, ..., s, ..., 2, 1), where the two tie at about sides 75 to
+# 80: side 75 (work 19.8 million) and below take blocks, 76 and above splu.
+# The level search gives up past MAX_LEVELS levels.
+BLOCK_SOLVE_WORK = 20_000_000
 LEVEL_WORK = 30**3
 MAX_LEVELS = BLOCK_SOLVE_WORK // LEVEL_WORK
 
@@ -246,18 +248,17 @@ class _Levels(NamedTuple):
     """Breadth-first levels of the nonterminal states, by position among them.
 
     Position p lies in level ``level[p]`` at index ``slot[p]`` within it;
-    there are ``count`` levels, the widest holding ``width`` positions.
+    level k holds ``sizes[k]`` positions.
     """
 
     level: np.ndarray
     slot: np.ndarray
-    count: int
-    width: int
+    sizes: np.ndarray
 
     @property
     def work(self) -> int:
-        """The block elimination's padded work, a level of width w counting w**3."""
-        return self.count * (self.width**3 + LEVEL_WORK)
+        """The block elimination's work, a level of w positions counting w**3 + LEVEL_WORK."""
+        return int((self.sizes**3).sum()) + self.sizes.size * LEVEL_WORK
 
 
 def _levels(problem: SspProblem) -> _Levels | None:
@@ -284,7 +285,7 @@ def _breadth_first_levels(problem: SspProblem) -> _Levels | None:
     keep = (states != t) & (view.to != t) & (states != view.to)
     i, j = states[keep], view.to[keep]
     i, j = i - (i > t), j - (j > t)
-    source, adjacent = np.divmod(np.unique(np.concatenate((i * m + j, j * m + i))), m)
+    source, adjacent = np.divmod(distinct(np.concatenate((i * m + j, j * m + i))), m)
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(source, minlength=m), out=ptr[1:])
     degree = np.diff(ptr)
@@ -299,7 +300,7 @@ def _breadth_first_levels(problem: SspProblem) -> _Levels | None:
             if len(levels) + len(found) > MAX_LEVELS:
                 return None
             reached = csr_rows(ptr, adjacent, frontier)
-            frontier = np.unique(reached[mark[reached] != label])
+            frontier = distinct(reached[mark[reached] != label])
             mark[frontier] = label
         return found
 
@@ -326,47 +327,61 @@ def _breadth_first_levels(problem: SspProblem) -> _Levels | None:
     level, slot = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
     level[order] = np.repeat(np.arange(sizes.size), sizes)
     slot[order] = np.arange(m) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return _Levels(level, slot, int(sizes.size), int(sizes.max()))
+    return _Levels(level, slot, sizes)
 
 
 def _block_solver(levels: _Levels, i: np.ndarray, j: np.ndarray, weights: np.ndarray):
     """Solve of I - P, P holding ``weights`` at (``i``, ``j``), by block elimination over levels.
 
-    Level k's diagonal block D_k and its blocks L_k and U_k toward levels
-    k - 1 and k + 1 are padded to the widest level, with 1 on the padded
-    diagonal. The factors are the inverse Schur complements
-    S_k^-1, S_k = D_k - L_k S_(k-1)^-1 U_(k-1), and the multipliers
+    Level k of w_k positions has its diagonal block D_k (w_k x w_k) and its
+    blocks L_k (w_k x w_(k-1)) and U_k (w_k x w_(k+1)) toward levels k - 1
+    and k + 1, each at its own size and all in one flat array. The factors
+    are the inverse Schur complements S_k^-1,
+    S_k = D_k - L_k S_(k-1)^-1 U_(k-1), and the multipliers
     L_k S_(k-1)^-1. For a proper policy I - P is a nonsingular M-matrix,
     and so is every Schur complement, so no pivoting between levels is
     needed; LAPACK raises ``LinAlgError`` on an exactly singular one.
     """
-    level, slot, count, width = levels
-    band = level[j] - level[i] + 1  # 0, 1 or 2: the block below, on or above the diagonal
-    cells = ((level[i] * 3 + band) * width + slot[i]) * width + slot[j]
-    blocks = 0.0 - np.bincount(cells, weights, minlength=count * 3 * width * width).reshape(
-        count, 3, width, width
-    )
-    lower, diagonal, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
-    diagonal[:, np.arange(width), np.arange(width)] += 1.0
-    inverse = np.empty((count, width, width))
-    multiplier = np.zeros((count, width, width))
-    for k in range(count):
-        schur = diagonal[k]
+    level, slot, sizes = levels
+    before = np.concatenate(([0], sizes[:-1]))
+    after = np.concatenate((sizes[1:], [0]))
+    # level k's blocks lie at base[k]: D_k, then L_k, then U_k, row by row
+    lengths = sizes * (sizes + before + after)
+    base = np.cumsum(lengths) - lengths
+    band_start = np.stack((base + sizes * sizes, base, base + sizes * (sizes + before)), axis=1)
+    a, b = level[i], level[j]
+    cells = band_start[a, b - a + 1] + slot[i] * sizes[b] + slot[j]
+    blocks = 0.0 - np.bincount(cells, weights, minlength=int(lengths.sum()))
+    blocks[base[level] + slot * (sizes[level] + 1)] += 1.0
+    widths = sizes.tolist()
+    inverse, multiplier, upper = [], [None], []
+    end = 0
+    for k, (w, w_before, w_after) in enumerate(zip(widths, [0] + widths, widths[1:] + [0])):
+        start, end = end, end + w * w
+        schur = blocks[start:end].reshape(w, w)
+        start, end = end, end + w * w_before
+        lower = blocks[start:end].reshape(w, w_before)
+        start, end = end, end + w * w_after
+        upper.append(blocks[start:end].reshape(w, w_after))
         if k:
-            multiplier[k] = lower[k] @ inverse[k - 1]
+            multiplier.append(lower @ inverse[k - 1])
             schur = schur - multiplier[k] @ upper[k - 1]
-        inverse[k] = np.linalg.inv(schur)
+        inverse.append(np.linalg.inv(schur))
+    # position p's place in the solution ordered by levels, and each level's
+    # piece of it; an empty piece follows the last level, as U_k does
+    first = np.cumsum(sizes) - sizes
+    place = first[level] + slot
+    x = np.empty(len(place))
+    pieces = [x[f : f + w] for f, w in zip(first.tolist() + [len(place)], widths + [0])]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        # forward and back substitution over the levels, in place; the
-        # extra level stays 0, as nothing follows the last level
-        x = np.zeros((count + 1, width))
-        x[level, slot] = rhs
-        for k in range(1, count):
-            x[k] -= multiplier[k] @ x[k - 1]
-        for k in range(count - 1, -1, -1):
-            x[k] = inverse[k] @ (x[k] - upper[k] @ x[k + 1])
-        return x[level, slot]
+        # forward and back substitution over the levels, in place
+        x[place] = rhs
+        for k in range(1, len(widths)):
+            pieces[k] -= multiplier[k] @ pieces[k - 1]
+        for k in range(len(widths) - 1, -1, -1):
+            pieces[k][:] = inverse[k] @ (pieces[k] - upper[k] @ pieces[k + 1])
+        return x[place]
 
     return solve
 
@@ -381,7 +396,8 @@ def _policy_system(problem: SspProblem, policy: Policy):
     - below ``SPARSE_SOLVE_STATES``, dense: the array bitwise
       ``np.eye(m) - P``, solved by LAPACK, and ``apply`` its product;
     - from there on, block elimination over the instance's breadth-first
-      levels (:func:`_block_solver`), while their padded work is at most
+      levels (:func:`_block_solver`), while their work, the sum over the
+      levels of w**3 + ``LEVEL_WORK`` for a level of w states, is at most
       ``BLOCK_SOLVE_WORK``;
     - else ``splu`` on a sparse matrix, which raises ``RuntimeError`` when
       the system is singular. Only this path imports scipy.
@@ -405,9 +421,10 @@ def _policy_system(problem: SspProblem, policy: Policy):
     def apply(x: np.ndarray) -> np.ndarray:
         return x - np.bincount(i, weights * x[j], minlength=m)
 
-    # levels at most w wide hold all m states only if there are m / w or
-    # more, so the work is at least m * (w**2 + LEVEL_WORK / w), whose
-    # minimum over w is this; larger instances skip the level search
+    # a level of w states counts w * (w**2 + LEVEL_WORK / w), and the factor
+    # w**2 + LEVEL_WORK / w is at least 3 * (LEVEL_WORK / 2)**(2/3) for any w,
+    # so m states in any levels count at least this; larger instances skip
+    # the level search
     if m * 3 * (LEVEL_WORK / 2) ** (2 / 3) <= BLOCK_SOLVE_WORK:
         levels = _levels(problem)
         if levels is not None and levels.work <= BLOCK_SOLVE_WORK:

@@ -17,6 +17,7 @@ from .core import (
     Policy,
     SspProblem,
     StochasticPolicy,
+    distinct,
     policy_entry_probs,
 )
 
@@ -109,7 +110,7 @@ def is_proper(problem: SspProblem, policy: Policy) -> ProperCheckReport:
         reached, targets = np.divmod(edges, n)
         np.maximum.at(path_prob, reached, edge_prob * path_prob[targets])
         dist[reached] = level
-        frontier = np.unique(reached)
+        frontier = distinct(reached)
 
     unreachable = tuple(np.flatnonzero(dist < 0).tolist())
     if unreachable:

@@ -431,6 +431,55 @@ def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=
         values_by_stage.append(report_values())
 
 
+def stagewise_horizon(problem: SspProblem, values, offset: float, max_stages=None):
+    """The horizon search over the nonzero entries with a full backup at every stage.
+
+    Returns m, each state's joining stage and the last stage values, as
+    ``bounds._search_horizon`` does. Every stage backs up every
+    (state, action) row and masks the risky ones with infinity; the
+    library rebuilds its arrays of usable entries only when states join,
+    and must give the same bits.
+    """
+    if max_stages is None:
+        max_stages = DEFAULT_HORIZON_CAP
+    num_states, num_actions = problem.num_states, problem.num_actions
+    view = problem.transitions
+    joined_at = np.full(num_states, -1, dtype=np.int64)
+    joined_at[problem.terminal] = 0
+    frontier = np.array([problem.terminal])
+    risky = np.zeros((num_states, num_actions), dtype=bool)
+    risky_rows = risky.reshape(-1)
+    stage_values = np.zeros(num_states)
+
+    k = 0
+    while True:
+        outside = joined_at < 0
+        if not outside.any():
+            return k, joined_at, stage_values
+        if (stage_values[outside] + offset > values[outside]).all():
+            return k + 1, joined_at, stage_values
+        if k >= max_stages:
+            raise HorizonCapExceeded(k)
+        k += 1
+        if frontier.size:
+            risky_rows[view.row[view.entering(frontier)]] = True
+        can_avoid = ~risky.all(axis=1)
+        joining = outside & ~can_avoid
+        staying = outside & can_avoid
+        backed = np.bincount(
+            view.row,
+            view.prob * (view.cost + stage_values[view.to]),
+            minlength=num_states * num_actions,
+        ).reshape(num_states, num_actions)
+        backed[risky] = np.inf
+        new_values = np.where(staying, backed.min(axis=1), stage_values)
+        if not joining.any() and np.array_equal(new_values, stage_values):
+            raise HorizonCapExceeded(k)
+        frontier = np.nonzero(joining)[0]
+        joined_at[frontier] = k
+        stage_values = new_values
+
+
 def reference_all_policies_proper(problem: SspProblem) -> AllPoliciesProperReport:
     """The all-policies-proper decision on the dense tensors.
 

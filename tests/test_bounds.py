@@ -14,6 +14,7 @@ from helpers import (
     lazy_chain_instance,
     monte_carlo_steps,
     no_exit_instance,
+    open_grid,
     proper_policy_values,
     random_all_proper_ssp,
     random_discounted,
@@ -24,6 +25,7 @@ from helpers import (
     reference_horizon,
     reference_is_proper,
     reference_kernel_facts,
+    stagewise_horizon,
     stay_or_go_instance,
 )
 from sspbounds import (
@@ -50,7 +52,7 @@ from sspbounds import (
     validate,
     value_iteration,
 )
-from sspbounds.bounds import _kernel_facts
+from sspbounds.bounds import _kernel_facts, _search_horizon
 from sspbounds.errors import (
     HorizonCapExceeded,
     NonpositiveCost,
@@ -396,6 +398,65 @@ class TestHorizonOracle:
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         with pytest.raises(IndexError):
             certificate.inevitable_at(certificate.last_stage + 1)
+
+
+def horizon_outcome(search, problem, values, criterion, max_stages=None):
+    """m, the joining stages and the stage values as bytes, or the stage the search gave up at."""
+    offset = _kernel_facts(problem).terminal_move()[0] if criterion == "text" else 0.0
+    try:
+        m, joined_at, stage_values = search(problem, values, offset, max_stages)
+    except HorizonCapExceeded as exc:
+        return "cap", exc.stage
+    return m, joined_at.tobytes(), stage_values.tobytes()
+
+
+def stagewise_cases():
+    """(name, problem, values) triples: the seeded families, the small instances and open grids."""
+    cases = [
+        ("free-delay", free_delay_instance(), np.zeros(2)),
+        ("delay-or-exit", delay_or_exit_instance(), np.array([0.75, 1.0, 0.0])),
+        ("delay-or-exit-zero", delay_or_exit_instance(), np.zeros(3)),
+    ]
+    rng = np.random.default_rng(131)
+    for k in range(25):
+        for family in (random_proper_mixed_ssp, random_all_proper_ssp):
+            problem = family(rng)
+            uniform = evaluate_policy(problem, uniform_random_policy(problem))
+            cases.append((f"{family.__name__}-{k}", problem, uniform))
+            cases.append((f"{family.__name__}-{k}-random", problem, random_values(rng, problem)))
+    for side in (3, 5, 8):
+        grid = open_grid(side)
+        cases.append((f"open-{side}", grid, evaluate_policy(grid, uniform_random_policy(grid))))
+    return cases
+
+
+class TestHorizonStages:
+    """Usable entries rebuilt only when states join give the bits of a full backup per stage."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return stagewise_cases()
+
+    @pytest.mark.parametrize("criterion", ["text", "pseudocode"])
+    def test_matches_the_stagewise_search(self, cases, criterion):
+        outcomes = []
+        for name, problem, values in cases:
+            expected = horizon_outcome(stagewise_horizon, problem, values, criterion)
+            assert horizon_outcome(_search_horizon, problem, values, criterion) == expected, name
+            outcomes.append(expected[0])
+        # stops, and give-ups where a stage changed nothing, both occur
+        assert outcomes.count("cap") >= 1
+        assert sum(m != "cap" and m > 5 for m in outcomes) >= 10
+
+    @pytest.mark.parametrize("max_stages", [0, 1, 2, 5])
+    def test_same_cap_stage(self, cases, max_stages):
+        capped = 0
+        for name, problem, values in cases:
+            expected = horizon_outcome(stagewise_horizon, problem, values, "text", max_stages)
+            got = horizon_outcome(_search_horizon, problem, values, "text", max_stages)
+            assert got == expected, name
+            capped += expected == ("cap", max_stages)
+        assert capped >= 3
 
 
 class TestKernelFactsOracle:

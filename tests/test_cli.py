@@ -64,20 +64,25 @@ def stay_go_file(stay_go, tmp_path):
     return str(path)
 
 
-def solve_loads_scipy(instance: str, algorithm: str, tmp_path) -> bool:
-    """Whether ``solve`` in a fresh interpreter imports scipy; the run must exit 0."""
+def cli_loads(module: str, argv: list[str]) -> bool:
+    """Whether the command ``argv`` in a fresh interpreter imports ``module``; it must exit 0."""
     script = (
         "import sys; from sspbounds.cli import main; "
-        "print(main(sys.argv[1:]), 'scipy' in sys.modules)"
+        f"print(main(sys.argv[1:]), {module!r} in sys.modules)"
     )
-    argv = ["solve", "--input", instance, "--algorithm", algorithm,
-            "--output", str(tmp_path / "trace.csv")]
     env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
     )
     assert result.stdout.split()[:1] == ["0"], result.stderr
     return result.stdout.split()[1] == "True"
+
+
+def solve_loads(module: str, instance: str, algorithm: str, tmp_path) -> bool:
+    """Whether ``solve`` of ``instance`` imports ``module``."""
+    argv = ["solve", "--input", instance, "--algorithm", algorithm,
+            "--output", str(tmp_path / "trace.csv")]
+    return cli_loads(module, argv)
 
 
 def values_file(tmp_path, name, values):
@@ -102,19 +107,31 @@ class TestSolve:
     def test_small_solve_leaves_scipy_unloaded(self, grid_reward_file, algorithm, tmp_path):
         # only the splu policy solve imports scipy, which would add about 0.33 s
         # to every run if it were imported with the package
-        assert solve_loads_scipy(grid_reward_file, algorithm, tmp_path) is False
+        assert solve_loads("scipy", grid_reward_file, algorithm, tmp_path) is False
 
     @pytest.mark.parametrize("algorithm", ["vi", "pi"])
     def test_mid_size_solve_leaves_scipy_unloaded(self, algorithm, tmp_path):
         # 900 nonterminal states in 59 levels at most 30 wide: block elimination
         path = tmp_path / "grid30.json"
         save_problem(open_grid(30), path, convention="reward")
-        assert solve_loads_scipy(str(path), algorithm, tmp_path) is False
+        assert solve_loads("scipy", str(path), algorithm, tmp_path) is False
+
+    @pytest.mark.parametrize("command", ["vi", "pi", "check"])
+    def test_searches_leave_numpy_ma_unloaded(self, command, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 15 ms of a run;
+        # solve searches the levels of the 900 states, check is_proper's
+        path = str(tmp_path / "grid30.json")
+        save_problem(open_grid(30), path, convention="reward")
+        if command == "check":
+            loaded = cli_loads("numpy.ma", ["check", "--input", path, "--output", str(tmp_path / "c")])
+        else:
+            loaded = solve_loads("numpy.ma", path, command, tmp_path)
+        assert loaded is False
 
     def test_wide_levels_load_scipy(self, tmp_path):
         path = tmp_path / "wide.json"
         save_problem(wide_random_ssp(np.random.default_rng(2024), 750), path)
-        assert solve_loads_scipy(str(path), "pi", tmp_path) is True
+        assert solve_loads("scipy", str(path), "pi", tmp_path) is True
 
     def test_zero_init_fails_when_not_improvable(self, stay_go_file, capsys):
         code = main(["solve", "--input", stay_go_file, "--init", "zero"])

@@ -29,7 +29,7 @@ from sspbounds import (
     validate,
 )
 import sspbounds.core
-from sspbounds.core import Transitions, problem_from_json_dict
+from sspbounds.core import Transitions, distinct, problem_from_json_dict
 from sspbounds.errors import (
     NonfiniteCost,
     ProbabilityOutOfRange,
@@ -290,6 +290,16 @@ class TestNegateCosts:
         assert convention == "reward"
         assert dense(loaded).cost.tobytes() == dense(grid).cost.tobytes()
         assert dense(loaded).prob.tobytes() == dense(grid).prob.tobytes()
+
+
+def test_distinct_is_unique():
+    rng = np.random.default_rng(5)
+    cases = [np.array([], dtype=np.int64), np.array([3, 3, 3]), np.arange(5)[::-1]]
+    cases += [rng.integers(0, n, size=n) for n in (1, 2, 10, 1000)]
+    for values in cases:
+        result = distinct(values)
+        assert result.dtype == values.dtype
+        assert result.tolist() == np.unique(values).tolist()
 
 
 class TestPolicies:

@@ -38,7 +38,7 @@ from sspbounds import (
     value_iteration,
 )
 from sspbounds import dp
-from sspbounds.core import Transitions
+from sspbounds.core import Transitions, policy_cost_vector, policy_transition_matrix
 from sspbounds.dp import trace_csv
 from sspbounds.errors import ImproperPolicy, MaxItersExceeded, SingularSystem
 from sspbounds.gridworld import (
@@ -508,19 +508,52 @@ class TestSolvePaths:
         assert compare_table2(run_table2(grid)) == []
         assert splu_calls == []
 
-    def test_block_budget_counts_padded_work(self, monkeypatch, splu_calls):
+    def test_block_budget_counts_level_work(self, monkeypatch, splu_calls):
+        # each level counts its own size cubed: the anti-diagonals 1, 2, ..., 8, ..., 2, 1
         problem = open_grid(8)
         policy = uniform_random_policy(problem)
         monkeypatch.setattr(dp, "SPARSE_SOLVE_STATES", 0)
         levels = dp._levels(problem)
-        assert (levels.count, levels.width) == (15, 8)
-        assert levels.work == 15 * (8**3 + dp.LEVEL_WORK)
+        assert levels.sizes.tolist() == list(range(1, 9)) + list(range(7, 0, -1))
+        assert levels.work == 2 * sum(w**3 for w in range(1, 8)) + 8**3 + 15 * dp.LEVEL_WORK
         monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", levels.work)
         evaluate_policy(problem, policy)
         assert splu_calls == []
         monkeypatch.setattr(dp, "BLOCK_SOLVE_WORK", levels.work - 1)
         evaluate_policy(problem, policy)
         assert splu_calls == [problem.num_states - 1]
+
+    def test_levels_of_different_sizes(self, monkeypatch, splu_calls):
+        # each level's blocks at its own size, against one dense solve of (I - P) J = g
+        force_path(monkeypatch, "block")
+        rng = np.random.default_rng(23)
+        walled = walled_grid(rng, 12, 9)
+        weights = rng.dirichlet(np.ones(walled.num_actions), walled.num_states)
+        cases = [
+            ("strip", open_grid(40, 1), uniform_random_policy, [1] * 40),
+            ("walled", walled, uniform_random_policy, None),
+            ("stochastic", walled, lambda problem: StochasticPolicy(weights), None),
+            # a 5x5 and a 9x4 grid: levels up to 5 wide, then up to 4
+            (
+                "two-components",
+                joined_on_terminal(open_grid(5), open_grid(9, 4)),
+                uniform_random_policy,
+                [1, 2, 3, 4, 5, 4, 3, 2, 1] + [1, 2, 3] + [4] * 6 + [3, 2, 1],
+            ),
+        ]
+        for name, problem, make_policy, sizes in cases:
+            levels = dp._levels(problem)
+            if sizes is None:
+                assert levels.sizes.min() < levels.sizes.max(), name
+            else:
+                assert levels.sizes.tolist() == sizes, name
+            policy = make_policy(problem)
+            nt = problem.nonterminal
+            system = np.eye(nt.size) - policy_transition_matrix(problem, policy)[np.ix_(nt, nt)]
+            expected = np.linalg.solve(system, policy_cost_vector(problem, policy)[nt])
+            values = evaluate_policy(problem, policy)
+            assert np.abs(values[nt] - expected).max() <= 1e-12 * np.abs(expected).max(), name
+        assert splu_calls == []
 
     def test_levels_start_from_a_peripheral_state(self):
         # relabeled so that the lowest state is the grid's centre: a search
@@ -539,7 +572,7 @@ class TestSolvePaths:
             ),
         )
         levels = dp._breadth_first_levels(relabeled)
-        assert (levels.count, levels.width) == (15, 8)
+        assert levels.sizes.tolist() == list(range(1, 9)) + list(range(7, 0, -1))
 
     def test_instances_too_large_for_blocks_skip_the_level_search(
         self, monkeypatch, splu_calls
@@ -562,11 +595,11 @@ class TestSolvePaths:
         evaluate_policy(problem, uniform_random_policy(problem))
         assert splu_calls == [problem.num_states - 1]
         monkeypatch.setattr(dp, "MAX_LEVELS", 15)
-        assert dp._breadth_first_levels(problem).count == 15
+        assert dp._breadth_first_levels(problem).sizes.size == 15
 
     def test_default_rule_on_open_grids(self, splu_calls):
-        # at the budget, side 41 and below take blocks, side 42 and above splu
-        for side, factored in ((30, []), (41, []), (42, [42 * 42])):
+        # at the budget, side 75 and below take blocks, side 76 and above splu
+        for side, factored in ((30, []), (75, []), (76, [76 * 76])):
             problem = open_grid(side)
             evaluate_policy(problem, uniform_random_policy(problem))
             assert splu_calls == factored, side
@@ -617,11 +650,12 @@ class TestSolvePathSweep:
 
     def test_levels_make_the_system_block_tridiagonal(self, instances):
         for name, problem in instances:
-            level, slot, count, width = dp._breadth_first_levels(problem)
+            level, slot, sizes = dp._breadth_first_levels(problem)
             m = problem.num_states - 1
-            # every position gets its own cell of the padded levels
-            assert np.unique(level * width + slot).size == m, name
-            assert (slot < width).all() and level.max() == count - 1, name
+            # every position gets its own slot in its level, and every slot is taken
+            assert sizes.sum() == m and (sizes > 0).all(), name
+            assert np.unique(level * m + slot).size == m, name
+            assert (slot < sizes[level]).all() and level.max() == sizes.size - 1, name
             view, t = problem.transitions, problem.terminal
             states = view.row // problem.num_actions
             inner = (states != t) & (view.to != t)
