@@ -31,9 +31,9 @@ from .core import (
     validate,
 )
 from .dp import (
+    Backup,
     IterationRecord,
     IterationTrace,
-    ResidualStats,
     action_values,
     bellman_backup,
     bellman_residual,

@@ -36,11 +36,12 @@ import numpy as np
 
 from .core import SspProblem, check_values
 from .dp import (  # bellman_backup stays bound here for code that patches it
+    Backup,
+    IterationRecord,
     IterationTrace,
     bellman_backup,  # noqa: F401
     policy_iteration,
     require_uniformly_improvable,
-    residual_stats,
 )
 from .errors import (
     HorizonCapExceeded,
@@ -149,17 +150,20 @@ class BoundsReport:
 
 
 class TraceRow(NamedTuple):
-    """Bound columns of one solver trace row.
+    """One solver trace row, its fields the five columns of :func:`sspbounds.dp.trace_csv`.
 
     ``j_under`` is the floor of J over the counted states (nonterminal, not
-    overridden), ``m`` the max of the steps bound over them and ``error``
-    m times the row's residual. ``m`` and ``error`` are None when the row's
-    J is not uniformly improvable (or its horizon search hits the cap), and
-    ``error`` also on row 0, which has no residual.
+    overridden), ``m`` the max of the steps bound over them, ``residual``
+    that of the backup that produced the row and ``error`` m times it.
+    ``m`` and ``error`` are None when the row's J is not uniformly
+    improvable (or its horizon search hits the cap), ``residual`` and
+    ``error`` on row 0, which has no residual.
     """
 
+    iteration: int
     j_under: float
     m: float | None
+    residual: float | None
     error: float | None
 
 
@@ -341,8 +345,8 @@ def termination_horizon(
     ``"pseudocode"`` compares the bare stage values and yields a larger m.
 
     Raises :class:`HorizonCapExceeded` after ``max_stages`` stages, or as
-    soon as a stage changes nothing, which indicates a zero-cost way to
-    delay termination forever.
+    soon as a stage where no state joins raises no value, which indicates
+    a nonpositive-cost way to delay termination forever.
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
@@ -414,9 +418,10 @@ def _search_horizon(
         if staying.size:
             backed = np.bincount(entry_rank, prob * (cost + stage_values[to]), minlength=rows.size)
             new_values[staying] = np.minimum.reduceat(backed, starts)
-        if not frontier.size and np.array_equal(new_values, stage_values):
-            # Every later stage would repeat this one, so the stop test that
-            # just failed would fail forever.
+        if not frontier.size and (new_values <= stage_values).all():
+            # With no join the usable entries stay fixed, and the stage
+            # operator is monotone, in floating point too: no later stage
+            # raises a value, so the stop test that just failed fails forever.
             raise HorizonCapExceeded(k)
         joined_at[frontier] = k
         stage_values = new_values
@@ -531,43 +536,41 @@ class BoundsContext:
         steps[facts.overridden] = 1.0
         return steps
 
-    def row(
-        self,
-        values: np.ndarray,
-        residual: float | None,
-        improvable: bool,
-        sign: float = 1.0,
-    ) -> TraceRow:
-        """Trace columns of one iterate, given its uniform-improvability verdict.
+    def row(self, record: IterationRecord, improvable: bool, sign: float = 1.0) -> TraceRow:
+        """Trace row of one solver record, given its J's uniform-improvability verdict.
 
         ``sign`` is -1 to report the floor of a reward-form file.
         """
         counted = self.facts.counted
+        values, residual = record.values, record.residual
         j_under = float((sign * values[counted]).min()) if counted.any() else 0.0
         if not improvable:
-            return TraceRow(j_under, None, None)
+            return TraceRow(record.iteration, j_under, None, residual, None)
         try:
             steps = self.steps(values)
         except HorizonCapExceeded:
-            return TraceRow(j_under, None, None)
+            return TraceRow(record.iteration, j_under, None, residual, None)
         m = float(steps[counted].max()) if counted.any() else 1.0
         error = None if residual is None else float(_certified(residual, m))
-        return TraceRow(j_under, m, error)
+        return TraceRow(record.iteration, j_under, m, residual, error)
 
     def report(self, values: np.ndarray) -> BoundsReport:
         """Full bounds report of a uniformly improvable J, from one backup."""
         values = check_values(self.problem, values)
-        stats = residual_stats(require_uniformly_improvable(self.problem, values), values)
+        return self._report(values, require_uniformly_improvable(self.problem, values))
+
+    def _report(self, values: np.ndarray, backup: Backup) -> BoundsReport:
+        """Report of a uniformly improvable J from its ``backup``."""
         steps = self.steps(values)
         counted = self.facts.counted
         factor = float(steps[counted].max()) if counted.any() else 1.0
         return BoundsReport(
-            residual=stats.residual,
-            min_change=stats.min_change,
-            max_change=stats.max_change,
+            residual=backup.residual,
+            min_change=backup.min_change,
+            max_change=backup.max_change,
             steps_bound=steps,
-            per_state_bound=_certified(stats.residual, steps),
-            global_bound=float(_certified(stats.residual, factor)),
+            per_state_bound=_certified(backup.residual, steps),
+            global_bound=float(_certified(backup.residual, factor)),
             overrides=tuple(int(i) for i in np.nonzero(self.facts.overridden)[0]),
             method=self.method if counted.any() else "override",
         )
@@ -575,17 +578,17 @@ class BoundsContext:
     def certify(
         self, trace: IterationTrace, sign: float = 1.0
     ) -> tuple[BoundsReport, list[TraceRow]]:
-        """Report of a solver run's last iterate, plus the bound columns of every row.
+        """Report of a solver run's last iterate, plus every row of its trace.
 
         Row k's improvability verdict comes from the solver's backup stored
-        in record k + 1; the last row's from the report, which accepts only
-        an improvable J.
+        in record k + 1; the last row's from the trace's last backup, which
+        the report accepts only for an improvable J.
         """
         records = trace.records
-        report = self.report(records[-1].values)
+        report = self._report(records[-1].values, trace.last.require_improvable())
         verdicts = [record.improvable for record in records[1:]] + [True]
         rows = [
-            self.row(record.values, record.residual, improvable, sign)
+            self.row(record, improvable, sign)
             for record, improvable in zip(records, verdicts)
         ]
         return report, rows

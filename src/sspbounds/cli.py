@@ -22,6 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gridworld as gw
 from .core import (
+    DeterministicPolicy,
     SspProblem,
     _json_chunks,
     check_values,
@@ -31,7 +32,6 @@ from .core import (
 )
 from .dp import (
     evaluate_policy,
-    greedy_policy,
     policy_iteration,
     require_uniformly_improvable,
     trace_csv,
@@ -119,7 +119,7 @@ def cmd_solve(config: RunConfig) -> int:
     sign = -1.0 if convention == "reward" else 1.0
     initial = _initial_values(config, problem, convention)
     # every bound this command reports relies on a uniformly improvable start
-    require_uniformly_improvable(problem, initial)
+    start = require_uniformly_improvable(problem, initial)
 
     # A truncated run is not an error: the final iterate still carries
     # valid bounds, so report what we have and note the truncation.
@@ -133,7 +133,7 @@ def cmd_solve(config: RunConfig) -> int:
             if config.init == "uniform-random":
                 start_policy = uniform_random_policy(problem)
             else:
-                start_policy = greedy_policy(problem, initial)
+                start_policy = DeterministicPolicy(actions=start.actions)
             _, values, trace = policy_iteration(problem, start_policy, config.max_iters)
     except MaxItersExceeded as exc:
         values, trace = exc.values, exc.trace
@@ -144,13 +144,7 @@ def cmd_solve(config: RunConfig) -> int:
     report, rows = context.certify(trace, sign)
 
     if config.output_format == "csv":
-        _emit(
-            trace_csv(
-                (rec.iteration, row.j_under, row.m, rec.residual, row.error)
-                for rec, row in zip(trace.records, rows)
-            ),
-            config.output,
-        )
+        _emit(trace_csv(rows), config.output)
     else:
         payload = {
             "config": {
@@ -164,13 +158,13 @@ def cmd_solve(config: RunConfig) -> int:
             },
             "trace": [
                 {
-                    "iter": rec.iteration,
+                    "iter": row.iteration,
                     "J_under": row.j_under,
                     "m": bounds_mod.json_number(row.m),
-                    "residual": rec.residual,
+                    "residual": row.residual,
                     "error": bounds_mod.json_number(row.error),
                 }
-                for rec, row in zip(trace.records, rows)
+                for row in rows
             ],
             "values": [sign * v for v in values.tolist()],
             "bounds": report.to_json_dict(),

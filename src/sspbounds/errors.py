@@ -141,12 +141,13 @@ class HorizonCapExceeded(SspError):
     """Horizon search exceeded its stage cap.
 
     Signals a modeling violation: some policy can delay termination forever
-    at no cost, so the stage values never rise above the reference values.
+    at nonpositive cost, so the stage values never rise above the reference
+    values.
     """
 
     def __init__(self, stage: int):
         self.stage = stage
         super().__init__(
             f"termination horizon not found within {stage} stages; instance "
-            "likely admits a zero-cost nonterminal cycle"
+            "likely admits a nonpositive-cost nonterminal cycle"
         )

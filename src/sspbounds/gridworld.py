@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundsContext, steps_bound_positive_costs
+from .bounds import BoundsContext, TraceRow, steps_bound_positive_costs
 from .core import SspProblem, Transitions
 from .dp import csv_cell, evaluate_policy, policy_iteration, value_iteration
 from .properness import uniform_random_policy
@@ -139,19 +138,6 @@ def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
     return SspProblem(num_states, num_actions, terminal, transitions=view)
 
 
-class Table1Row(NamedTuple):
-    """One iteration of Table 1: floor value, steps bound, residual, error bound.
-
-    Its fields are the five columns of :func:`sspbounds.dp.trace_csv`.
-    """
-
-    iteration: int
-    j_under: float
-    m: float
-    residual: float | None
-    error: float | None
-
-
 @dataclass(frozen=True)
 class Table2Row:
     """One policy-iteration sweep of Table 2: reward-form J(i) and raw N(i)."""
@@ -161,8 +147,8 @@ class Table2Row:
     steps: tuple[float, ...]
 
 
-EXPECTED_TABLE1_VI: tuple[Table1Row, ...] = tuple(
-    Table1Row(*row)
+EXPECTED_TABLE1_VI: tuple[TraceRow, ...] = tuple(
+    TraceRow(*row)
     for row in [
         (0, -1.603, 66.1, None, None),
         (1, -1.570, 65.3, 0.9567, 62.428),
@@ -180,8 +166,8 @@ EXPECTED_TABLE1_VI: tuple[Table1Row, ...] = tuple(
     ]
 )
 
-EXPECTED_TABLE1_PI: tuple[Table1Row, ...] = tuple(
-    Table1Row(*row)
+EXPECTED_TABLE1_PI: tuple[TraceRow, ...] = tuple(
+    TraceRow(*row)
     for row in [
         (0, -1.603, 66.1, None, None),
         (1, -0.885, 48.1, 0.9567, 46.030),
@@ -225,7 +211,7 @@ EXPECTED_TABLE2: tuple[Table2Row, ...] = tuple(
 )
 
 
-def run_table1(problem: SspProblem, algorithm: str) -> list[Table1Row]:
+def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
     """Reproduce Table 1: per-iteration error-bound statistics in reward form.
 
     Both algorithms start from the uniform random policy's value function.
@@ -237,17 +223,14 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[Table1Row]:
     start_values = evaluate_policy(problem, initial)
     if algorithm == "vi":
         _, trace = value_iteration(problem, start_values, epsilon=1e-9, max_iters=10_000)
-        records = trace.records[:13]
+        reported = 13
     elif algorithm == "pi":
         _, _, trace = policy_iteration(problem, initial)
-        records = trace.records
+        reported = None
     else:
         raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
     _, rows = BoundsContext.for_problem(problem, "positive-cost").certify(trace, sign=-1.0)
-    return [
-        Table1Row(record.iteration, row.j_under, row.m, record.residual, row.error)
-        for record, row in zip(records, rows)
-    ]
+    return rows[:reported]
 
 
 def run_table2(problem: SspProblem) -> list[Table2Row]:
@@ -279,7 +262,7 @@ def _close(got: float | None, want: float | None, tol: float) -> bool:
 
 
 def compare_table1(
-    rows: list[Table1Row], expected: tuple[Table1Row, ...], label: str
+    rows: list[TraceRow], expected: tuple[TraceRow, ...], label: str
 ) -> list[str]:
     """List every cell that misses its published value; empty means pass."""
     problems = []

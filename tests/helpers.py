@@ -165,6 +165,22 @@ def free_delay_instance():
     return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
 
 
+def cheap_delay_instance():
+    """State 0 loops at cost -1 or exits at cost 10: delaying never gets costlier.
+
+    Every policy that loops forever is improper with cost -inf, so the
+    horizon search gives up; J = (10, 0) is uniformly improvable.
+    """
+    prob = np.zeros((2, 2, 2))
+    cost = np.zeros_like(prob)
+    prob[0, 0, 0] = 1.0
+    cost[0, 0, 0] = -1.0
+    prob[0, 1, 1] = 1.0
+    cost[0, 1, 1] = 10.0
+    prob[1, :, 1] = 1.0
+    return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
+
+
 def no_exit_instance():
     """A state that can only loop on itself at cost 1: no move enters the terminal."""
     prob = np.zeros((2, 1, 2))
@@ -423,7 +439,7 @@ def reference_horizon(problem: SspProblem, values, criterion="text", max_stages=
         backed = np.where(usable, backed, np.inf)
         new_values = stage_values.copy()
         new_values[staying] = backed[staying].min(axis=1)
-        if not joining.any() and np.array_equal(new_values, stage_values):
+        if not joining.any() and (new_values <= stage_values).all():
             raise HorizonCapExceeded(k)
         inevitable = inevitable | joining
         stage_values = new_values
@@ -473,7 +489,7 @@ def stagewise_horizon(problem: SspProblem, values, offset: float, max_stages=Non
         ).reshape(num_states, num_actions)
         backed[risky] = np.inf
         new_values = np.where(staying, backed.min(axis=1), stage_values)
-        if not joining.any() and np.array_equal(new_values, stage_values):
+        if not joining.any() and (new_values <= stage_values).all():
             raise HorizonCapExceeded(k)
         frontier = np.nonzero(joining)[0]
         joined_at[frontier] = k

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     dense,
     brute_force_optimal,
+    cheap_delay_instance,
     delay_or_exit_instance,
     free_delay_instance,
     kernel_oracle_cases,
@@ -387,12 +388,17 @@ class TestHorizonOracle:
 
     @pytest.mark.parametrize("max_stages", [None, 0])
     def test_same_cap_stage_on_free_delay(self, max_stages):
-        problem = free_delay_instance()
-        with pytest.raises(HorizonCapExceeded) as ours:
-            termination_horizon(problem, np.zeros(2), max_stages=max_stages)
-        with pytest.raises(HorizonCapExceeded) as reference:
-            reference_horizon(problem, np.zeros(2), max_stages=max_stages)
-        assert ours.value.stage == reference.value.stage
+        # delay at zero cost, and at a cost of -1 per stage: the first stage gives up
+        stage = 1 if max_stages is None else max_stages
+        for problem, values in (
+            (free_delay_instance(), np.zeros(2)),
+            (cheap_delay_instance(), np.array([10.0, 0.0])),
+        ):
+            with pytest.raises(HorizonCapExceeded) as ours:
+                termination_horizon(problem, values, max_stages=max_stages)
+            with pytest.raises(HorizonCapExceeded) as reference:
+                reference_horizon(problem, values, max_stages=max_stages)
+            assert ours.value.stage == reference.value.stage == stage
 
     def test_stage_outside_the_search_rejected(self, stay_go):
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
@@ -416,6 +422,7 @@ def stagewise_cases():
         ("free-delay", free_delay_instance(), np.zeros(2)),
         ("delay-or-exit", delay_or_exit_instance(), np.array([0.75, 1.0, 0.0])),
         ("delay-or-exit-zero", delay_or_exit_instance(), np.zeros(3)),
+        ("cheap-delay", cheap_delay_instance(), np.array([10.0, 0.0])),
     ]
     rng = np.random.default_rng(131)
     for k in range(25):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cheap_delay_instance,
     dense,
     open_grid,
     random_all_proper_ssp,
@@ -226,6 +227,44 @@ class TestSolve:
         assert code == 2
         assert captured.out == ""
         assert "epsilon" in json.loads(captured.err.strip())["message"]
+
+
+class TestOneBackupPerIterate:
+    """A solve backs up each trace row's values once, its start check included."""
+
+    @pytest.mark.parametrize("algorithm, extra", [("vi", 1), ("pi", 0)])
+    @pytest.mark.parametrize("start", ["uniform-random", "file"])
+    def test_backups_per_trace_row(
+        self, grid, tmp_path, capsys, monkeypatch, algorithm, extra, start
+    ):
+        golden = str(Path(__file__).parent / "data" / "gridworld.json")
+        argv = ["solve", "--input", golden, "--algorithm", algorithm, "--format", "json"]
+        if start == "file":
+            uniform = evaluate_policy(grid, uniform_random_policy(grid))
+            argv += ["--init", values_file(tmp_path, "uniform.json", (-uniform).tolist())]
+        backups, evaluating = [], []
+        action_values, evaluate = sspbounds.dp.action_values, sspbounds.dp.evaluate_policy
+
+        def counted(*args):
+            if not evaluating:
+                backups.append(args)
+            return action_values(*args)
+
+        def evaluate_counted_apart(*args):
+            evaluating.append(args)
+            try:
+                return evaluate(*args)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(sspbounds.dp, "action_values", counted)
+        for module in (sspbounds.dp, sspbounds.cli):
+            monkeypatch.setattr(module, "evaluate_policy", evaluate_counted_apart)
+        assert main(argv) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        # a backup per row, plus the start check; policy iteration's last row
+        # repeats the row before it and shares its backup
+        assert len(backups) == len(trace) + extra
 
 
 class TestValuesFile:
@@ -579,13 +618,14 @@ class TestCheck:
         self, grid_reward_file, grid, tmp_path, capsys, monkeypatch
     ):
         calls = []
-        original = sspbounds.dp.bellman_backup
+        original = sspbounds.dp.action_values
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(sspbounds.dp, "bellman_backup", counted)
+        # every backup goes through action_values
+        monkeypatch.setattr(sspbounds.dp, "action_values", counted)
         uniform = evaluate_policy(grid, uniform_random_policy(grid))
         for values, improvable in ((uniform, True), (np.zeros(grid.num_states), False)):
             calls.clear()
@@ -595,6 +635,20 @@ class TestCheck:
             assert payload["uniformly_improvable"] is improvable
             assert ("horizon_certificate" in payload) is improvable
             assert len(calls) == 1
+
+    def test_cheap_delay_gives_up_at_once(self, tmp_path, capsys):
+        path = tmp_path / "cheap_delay.json"
+        save_problem(cheap_delay_instance(), path, convention="cost")
+        init = values_file(tmp_path, "j.json", [10.0, 0.0])
+        start = time.perf_counter()
+        code = main(["check", "--input", str(path), "--values", init])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        error = json.loads(captured.err.strip())
+        assert error["error"] == "HorizonCapExceeded"
+        assert "within 1 stages" in error["message"]
+        assert elapsed < 1.0
 
     def test_memory_scales_with_the_records(self, tmp_path, capsys):
         # 2000 states, 2 actions, 3 targets per row: about 12k records
