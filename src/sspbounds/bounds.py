@@ -576,20 +576,21 @@ class BoundsContext:
         )
 
     def certify(
-        self, trace: IterationTrace, sign: float = 1.0
+        self, trace: IterationTrace, sign: float = 1.0, count: int | None = None
     ) -> tuple[BoundsReport, list[TraceRow]]:
-        """Report of a solver run's last iterate, plus every row of its trace.
+        """Report of a solver run's last iterate, plus the first ``count`` rows of its trace.
 
-        Row k's improvability verdict comes from the solver's backup stored
-        in record k + 1; the last row's from the trace's last backup, which
-        the report accepts only for an improvable J.
+        Every row by default. Row k's improvability verdict comes from the
+        solver's backup stored in record k + 1; the last row's from the
+        trace's last backup, which the report accepts only for an
+        improvable J.
         """
         records = trace.records
         report = self._report(records[-1].values, trace.last.require_improvable())
         verdicts = [record.improvable for record in records[1:]] + [True]
         rows = [
             self.row(record, improvable, sign)
-            for record, improvable in zip(records, verdicts)
+            for record, improvable in zip(records[:count], verdicts)
         ]
         return report, rows
 

@@ -131,10 +131,13 @@ def cmd_solve(config: RunConfig) -> int:
             )
         else:
             if config.init == "uniform-random":
-                start_policy = uniform_random_policy(problem)
+                # `initial` is this policy's evaluation
+                start_policy, start_values = uniform_random_policy(problem), initial
             else:
-                start_policy = DeterministicPolicy(actions=start.actions)
-            _, values, trace = policy_iteration(problem, start_policy, config.max_iters)
+                start_policy, start_values = DeterministicPolicy(actions=start.actions), None
+            _, values, trace = policy_iteration(
+                problem, start_policy, config.max_iters, start_values
+            )
     except MaxItersExceeded as exc:
         values, trace = exc.values, exc.trace
         truncated = True

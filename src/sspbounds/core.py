@@ -493,6 +493,17 @@ _RECORD = (
     '    {{\n      "from": {},\n      "action": {},\n      "to": {},\n'
     '      "prob": {},\n      "cost": {}\n    }}'
 )
+# The text of a record before its first field and after its last, and the
+# writer's list slots of one record: the text that closes the record before
+# and opens this one, then each field after the text before it.
+_RECORD_OPEN, *_BETWEEN, _RECORD_CLOSE = _RECORD.format(*["\0"] * 5).split("\0")
+_RECORD_SLOTS = [
+    text
+    for before in (_RECORD_CLOSE + ",\n" + _RECORD_OPEN, *_BETWEEN)
+    for text in (before, None)
+]
+# Records the writer renders per block of text.
+_WRITE_BLOCK = 1 << 11
 # What the file holds around its records, when it has any.
 _RECORDS_START = b',\n  "transitions": [\n'
 _RECORDS_END = b"\n  ]\n}\n"
@@ -527,25 +538,37 @@ def _json_chunks(problem: SspProblem, convention: str) -> Iterator[str]:
         return
     yield header_text + _RECORDS_START.decode()
     sign = 1.0 if convention == "cost" else -1.0
-    # Blocks bound the text and the per-column lists held at once, whatever
-    # the number of entries.
-    block = 1 << 14
-    for start in range(0, view.row.size, block):
-        part = slice(start, start + block)
+    # Blocks bound the text and the strings held at once, whatever the
+    # number of entries. Each block's text is one join over a list laid out
+    # as _RECORD_SLOTS repeated, whose field slots are filled a column at a
+    # time.
+    for start in range(0, view.row.size, _WRITE_BLOCK):
+        part = slice(start, start + _WRITE_BLOCK)
         states, actions = np.divmod(view.row[part], problem.num_actions)
         # adding 0.0 normalizes -0.0 from sign flips
         costs = sign * view.cost[part] + 0.0
-        columns = [states.tolist(), actions.tolist(), view.to[part].tolist()]
-        for values in (view.prob[part], costs):
-            # The template prints a float as str does, which is json's repr;
-            # json spells the non-finite ones of an unvalidated instance NaN,
-            # Infinity and -Infinity.
-            finite = np.isfinite(values).all()
-            columns.append(values.tolist() if finite else list(map(json.dumps, values.tolist())))
-        if start:
-            yield ",\n"
-        yield ",\n".join(map(_RECORD.format, *columns))
-    yield _RECORDS_END.decode()
+        text = _RECORD_SLOTS * states.size
+        text[1::10] = _int_texts(states)
+        text[3::10] = _int_texts(actions)
+        text[5::10] = _int_texts(view.to[part])
+        for slot, values in ((7, view.prob[part]), (9, costs)):
+            # a float prints as repr, as in json, which spells the non-finite
+            # ones of an unvalidated instance NaN, Infinity and -Infinity
+            spell = repr if np.isfinite(values).all() else json.dumps
+            text[slot::10] = map(spell, values.tolist())
+        if not start:
+            text[0] = _RECORD_OPEN  # no record before the first to close
+        yield "".join(text)
+    yield _RECORD_CLOSE + _RECORDS_END.decode()
+
+
+def _int_texts(column: np.ndarray) -> list[str]:
+    """``str`` of each integer, made once per value when the range is no longer than the column."""
+    low, high = int(column.min()), int(column.max())
+    if high - low >= column.size:
+        return list(map(str, column.tolist()))
+    texts = list(map(str, range(low, high + 1)))
+    return list(map(texts.__getitem__, (column - low).tolist()))
 
 
 def save_problem(problem: SspProblem, path, convention: str = "cost") -> None:

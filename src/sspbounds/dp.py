@@ -573,6 +573,7 @@ def policy_iteration(
     problem: SspProblem,
     initial_policy: Policy,
     max_iters: int = 1_000,
+    initial_values: np.ndarray | None = None,
 ) -> tuple[DeterministicPolicy, np.ndarray, IterationTrace]:
     """Alternate exact evaluation and greedy improvement from a proper policy.
 
@@ -580,13 +581,16 @@ def policy_iteration(
     functions agree within 1e-12 in max norm. Starting from a proper
     policy, every iterate is proper and its value is elementwise no worse
     than its predecessor's. Trace row 0 holds the initial policy's
-    evaluation; row k holds the k-th improved policy's evaluation together
-    with the Bellman residual of row k-1's values.
+    evaluation, or ``initial_values`` when the caller has already
+    evaluated it; row k holds the k-th improved policy's evaluation
+    together with the Bellman residual of row k-1's values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     start = time.perf_counter()
-    values = evaluate_policy(problem, initial_policy)
+    values = (
+        evaluate_policy(problem, initial_policy) if initial_values is None else initial_values
+    )
     records = [IterationRecord(0, values, None, None, None, time.perf_counter() - start)]
     backup = _backup(problem, values)
     previous: DeterministicPolicy | None = (

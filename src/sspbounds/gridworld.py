@@ -24,13 +24,12 @@ values and steps bounds under policy iteration.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundsContext, TraceRow, steps_bound_positive_costs
-from .core import SspProblem, Transitions
+from .core import SspProblem, Transitions, _stored
 from .dp import csv_cell, evaluate_policy, policy_iteration, value_iteration
 from .properness import uniform_random_policy
 
@@ -82,59 +81,100 @@ ACTION_NAMES = ("up", "down", "east", "west")
 
 
 def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
-    """Construct the gridworld as a cost-form shortest path instance."""
+    """Construct the gridworld as a cost-form shortest path instance.
+
+    Raises ValueError for a slip redirect whose slip is not perpendicular
+    to its action, or that lands on a wall or off the grid.
+    """
     spec = spec or GridSpec()
-    cells = [
-        (r, c)
-        for r in range(spec.height)
-        for c in range(spec.width)
-        if (r, c) not in spec.walls
-    ]
-    index = {cell: i for i, cell in enumerate(cells)}
-    num_states = len(cells) + 1
-    terminal = len(cells)
-    num_actions = len(DIRECTIONS)
+    height, width = spec.height, spec.width
+    walls = np.array(spec.walls, dtype=np.int64).reshape(-1, 2)
+    inside = (walls >= 0).all(axis=1) & (walls[:, 0] < height) & (walls[:, 1] < width)
+    is_open = np.ones((height, width), dtype=bool)
+    is_open[walls[inside, 0], walls[inside, 1]] = False
+    terminal = int(is_open.sum())
+    # state[r + 1, c + 1]: the number of open cell (r, c), row by row; -1 on
+    # the walls and on a border of walls around the grid
+    state = np.full((height + 2, width + 2), -1, dtype=np.int64)
+    state[1:-1, 1:-1][is_open] = np.arange(terminal)
+    num_states, num_actions = terminal + 1, len(DIRECTIONS)
 
-    # the entries, in typed arrays of 8 bytes per field
-    rows, tos, probs, costs = array("q"), array("q"), array("d"), array("d")
+    def state_of(cell: tuple[int, int]) -> int:
+        r, c = cell
+        return int(state[r + 1, c + 1]) if 0 <= r < height and 0 <= c < width else -1
 
-    def add(state: int, action: int, targets, g: float) -> None:
-        """Append one (state, action) row: ``targets`` are (to, probability) pairs."""
-        # a bump and a slip can land on the same cell: one entry, whose
-        # probability adds up in move, slip, slip order
-        merged: dict[int, float] = {}
-        for j, p in targets:
-            merged[j] = merged.get(j, 0.0) + p
-        for j, p in merged.items():
-            rows.append(state * num_actions + action)
-            tos.append(j)
-            probs.append(p)
-            costs.append(g)
-
-    def destination(cell: tuple[int, int], action: int) -> tuple[int, int]:
-        row, col = cell
-        dr, dc = DIRECTIONS[action]
-        target = (row + dr, col + dc)
-        inside = 0 <= target[0] < spec.height and 0 <= target[1] < spec.width
-        if not inside or target in spec.walls:
-            return cell
-        return target
-
-    for cell, i in index.items():
-        if cell in spec.exits:
-            for action in range(num_actions):
-                add(i, action, [(terminal, 1.0)], -spec.exits[cell])
+    # landing[a]: the state a move in direction a from each open cell lands
+    # in; a bump into a wall or the edge stays in place
+    here = np.arange(terminal)
+    landing = np.empty((num_actions, terminal), dtype=np.int64)
+    for a, (dr, dc) in DIRECTIONS.items():
+        ahead = state[1 + dr : height + 1 + dr, 1 + dc : width + 1 + dc][is_open]
+        landing[a] = np.where(ahead >= 0, ahead, here)
+    # to[i, a]: the move and the two slips of action a in state i; the
+    # terminal row is there for the layout, its entries are set below
+    to = np.empty((num_states, num_actions, 3), dtype=np.int64)
+    for a, slips in PERPENDICULAR.items():
+        to[:terminal, a, 0] = landing[a]
+        to[:terminal, a, 1:] = landing[list(slips)].T
+    exit_cost = {}
+    for cell, reward in spec.exits.items():
+        i = state_of(cell)
+        if i >= 0:
+            exit_cost[i] = -reward
+    for (cell, action, slip), cell_to in spec.slip_redirects.items():
+        if slip not in PERPENDICULAR.get(action, ()):
+            raise ValueError(
+                f"slip redirect {(cell, action, slip)}: slip {slip} is not "
+                f"perpendicular to action {action}"
+            )
+        i = state_of(cell)
+        if i < 0 or i in exit_cost:
             continue
-        for action in range(num_actions):
-            targets = [(destination(cell, action), spec.move_prob)]
-            for slip in PERPENDICULAR[action]:
-                redirected = spec.slip_redirects.get((cell, action, slip))
-                landing = redirected if redirected else destination(cell, slip)
-                targets.append((landing, spec.slip_prob))
-            add(i, action, [(index[c], w) for c, w in targets], -spec.step_reward)
-    for action in range(num_actions):
-        add(terminal, action, [(terminal, 1.0)], 0.0)
-    view = Transitions.from_entries(num_states, rows, tos, probs, costs)
+        j = state_of(cell_to)
+        if j < 0:
+            raise ValueError(
+                f"slip redirect {(cell, action, slip)} lands on {cell_to}, "
+                "a wall or a cell off the grid"
+            )
+        to[i, action, 1 + PERPENDICULAR[action].index(slip)] = j
+
+    # Outcomes landing on one cell are one entry, whose probability adds up
+    # in move, slip, slip order from 0.0; the outcomes merged into an
+    # earlier one get target num_states.
+    p_move, p_slip = 0.0 + spec.move_prob, 0.0 + spec.slip_prob
+    p_move_slip = p_move + spec.slip_prob
+    same01 = to[..., 0] == to[..., 1]
+    same02 = to[..., 0] == to[..., 2]
+    same12 = to[..., 1] == to[..., 2]
+    prob = np.empty(to.shape)
+    prob[..., 0] = np.where(
+        same01 & same02,
+        p_move_slip + spec.slip_prob,
+        np.where(same01 | same02, p_move_slip, p_move),
+    )
+    prob[..., 1] = np.where(same12, p_slip + spec.slip_prob, p_slip)
+    prob[..., 2] = p_slip
+    to[..., 1][same01] = num_states
+    to[..., 2][same02 | same12] = num_states
+    # exit and terminal rows: one entry into the terminal
+    single = np.array([*exit_cost, terminal], dtype=np.int64)
+    to[single, :, 0] = terminal
+    to[single, :, 1:] = num_states
+    prob[single, :, 0] = 1.0
+    cost = np.full(num_states, -spec.step_reward, dtype=float)
+    cost[single] = [*exit_cost.values(), 0.0]
+    # each row's outcomes sorted by target, by three compare-exchanges
+    for x, y in ((0, 1), (1, 2), (0, 1)):
+        swap = to[..., y] < to[..., x]
+        for column in (to, prob):
+            first = column[..., x][swap]
+            column[..., x][swap] = column[..., y][swap]
+            column[..., y][swap] = first
+    entries = np.flatnonzero((to < num_states) & _stored(prob, cost[:, None, None]))
+    row = entries // 3
+    view = Transitions._adopt(
+        num_states, row, to.ravel()[entries], prob.ravel()[entries], cost[row // num_actions]
+    )
     return SspProblem(num_states, num_actions, terminal, transitions=view)
 
 
@@ -225,12 +265,13 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
         _, trace = value_iteration(problem, start_values, epsilon=1e-9, max_iters=10_000)
         reported = 13
     elif algorithm == "pi":
-        _, _, trace = policy_iteration(problem, initial)
+        _, _, trace = policy_iteration(problem, initial, initial_values=start_values)
         reported = None
     else:
         raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
-    _, rows = BoundsContext.for_problem(problem, "positive-cost").certify(trace, sign=-1.0)
-    return rows[:reported]
+    context = BoundsContext.for_problem(problem, "positive-cost")
+    _, rows = context.certify(trace, sign=-1.0, count=reported)
+    return rows
 
 
 def run_table2(problem: SspProblem) -> list[Table2Row]:

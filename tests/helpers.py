@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from typing import NamedTuple
 
@@ -22,6 +23,7 @@ from sspbounds import (
 from sspbounds.bounds import DEFAULT_HORIZON_CAP
 from sspbounds.core import Policy, Transitions
 from sspbounds.errors import HorizonCapExceeded, ImproperPolicy
+from sspbounds.gridworld import DIRECTIONS, PERPENDICULAR
 
 
 class DenseKernel(NamedTuple):
@@ -558,17 +560,84 @@ def reference_kernel_facts(problem: SspProblem) -> dict:
     }
 
 
-def open_grid(width: int, height: int | None = None, walls=(), slip_redirects=None) -> SspProblem:
-    """A gridworld with the +1 exit top right and the -1 exit bottom left, by default open."""
+def reference_build_gridworld(spec: GridSpec | None = None) -> SspProblem:
+    """The gridworld built one (cell, action, outcome) at a time in Python.
+
+    ``build_gridworld`` must give the same kernel, bit for bit; this loop
+    was the library's builder before it computed every cell at once.
+    """
+    spec = spec or GridSpec()
+    cells = [
+        (r, c)
+        for r in range(spec.height)
+        for c in range(spec.width)
+        if (r, c) not in spec.walls
+    ]
+    index = {cell: i for i, cell in enumerate(cells)}
+    num_states = len(cells) + 1
+    terminal = len(cells)
+    num_actions = len(DIRECTIONS)
+
+    # the entries, in typed arrays of 8 bytes per field
+    rows, tos, probs, costs = array("q"), array("q"), array("d"), array("d")
+
+    def add(state: int, action: int, targets, g: float) -> None:
+        """Append one (state, action) row: ``targets`` are (to, probability) pairs."""
+        # a bump and a slip can land on the same cell: one entry, whose
+        # probability adds up in move, slip, slip order
+        merged: dict[int, float] = {}
+        for j, p in targets:
+            merged[j] = merged.get(j, 0.0) + p
+        for j, p in merged.items():
+            rows.append(state * num_actions + action)
+            tos.append(j)
+            probs.append(p)
+            costs.append(g)
+
+    def destination(cell: tuple[int, int], action: int) -> tuple[int, int]:
+        row, col = cell
+        dr, dc = DIRECTIONS[action]
+        target = (row + dr, col + dc)
+        inside = 0 <= target[0] < spec.height and 0 <= target[1] < spec.width
+        if not inside or target in spec.walls:
+            return cell
+        return target
+
+    for cell, i in index.items():
+        if cell in spec.exits:
+            for action in range(num_actions):
+                add(i, action, [(terminal, 1.0)], -spec.exits[cell])
+            continue
+        for action in range(num_actions):
+            targets = [(destination(cell, action), spec.move_prob)]
+            for slip in PERPENDICULAR[action]:
+                redirected = spec.slip_redirects.get((cell, action, slip))
+                landing = redirected if redirected else destination(cell, slip)
+                targets.append((landing, spec.slip_prob))
+            add(i, action, [(index[c], w) for c, w in targets], -spec.step_reward)
+    for action in range(num_actions):
+        add(terminal, action, [(terminal, 1.0)], 0.0)
+    view = Transitions.from_entries(num_states, rows, tos, probs, costs)
+    return SspProblem(num_states, num_actions, terminal, transitions=view)
+
+
+def open_grid_spec(
+    width: int, height: int | None = None, walls=(), slip_redirects=None
+) -> GridSpec:
+    """A grid with the +1 exit top right and the -1 exit bottom left, by default open."""
     height = height or width
-    spec = GridSpec(
+    return GridSpec(
         width=width, height=height, walls=tuple(walls), slip_redirects=slip_redirects or {},
         exits={(0, width - 1): 1.0, (height - 1, 0): -1.0},
     )
-    return build_gridworld(spec)
 
 
-def walled_grid(rng, width: int, height: int) -> SspProblem:
+def open_grid(width: int, height: int | None = None, walls=(), slip_redirects=None) -> SspProblem:
+    """The instance of :func:`open_grid_spec`."""
+    return build_gridworld(open_grid_spec(width, height, walls, slip_redirects))
+
+
+def walled_grid_spec(rng, width: int, height: int) -> GridSpec:
     """A grid with random walls and random slip redirects.
 
     A third of the cells at an odd row and odd column are walls, so the
@@ -590,7 +659,12 @@ def walled_grid(rng, width: int, height: int) -> SspProblem:
         )
         if landing not in walls:
             redirects[((r, c), action, slip[int(rng.integers(2))])] = landing
-    return open_grid(width, height, walls, redirects)
+    return open_grid_spec(width, height, walls, redirects)
+
+
+def walled_grid(rng, width: int, height: int) -> SspProblem:
+    """The instance of :func:`walled_grid_spec`."""
+    return build_gridworld(walled_grid_spec(rng, width, height))
 
 
 def joined_on_terminal(first: SspProblem, second: SspProblem) -> SspProblem:

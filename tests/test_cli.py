@@ -567,6 +567,21 @@ class TestBench:
         assert code == 0
         assert out.read_text().startswith("iter,J0,N0")
 
+    @pytest.mark.parametrize(
+        "args,golden",
+        [
+            (["table1"], "bench_table1_pi.csv"),
+            (["table1", "--algorithm", "vi"], "bench_table1_vi.csv"),
+            (["table2"], "bench_table2.csv"),
+        ],
+    )
+    def test_tables_are_the_golden_files(self, args, golden, tmp_path, capsys):
+        out = tmp_path / golden
+        code = main(["bench", *args, "--output", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
+
 
 class TestCheck:
     def test_stay_go_witness(self, stay_go_file, capsys):

@@ -332,6 +332,25 @@ def more_than_one_block_instance() -> SspProblem:
     return from_discounted(*random_discounted(rng, num_states=40, num_actions=11), 0.9)
 
 
+def whole_blocks_instance(blocks: int) -> SspProblem:
+    """A chain whose records fill exactly ``blocks`` of the writer's blocks.
+
+    Each of its nonterminal states moves on or exits, with probability
+    1/2 each; the last one exits for sure.
+    """
+    n = blocks * sspbounds.core._WRITE_BLOCK // 2  # nonterminal states; n is the terminal
+    states = np.arange(n - 1)
+    costs = np.random.default_rng(5).uniform(0.1, 1.0, size=2 * n - 1)
+    view = Transitions.from_entries(
+        n + 1,
+        np.concatenate((states, states, [n - 1, n])),
+        np.concatenate((states + 1, np.full(n - 1, n), [n, n])),
+        np.concatenate((np.full(2 * n - 2, 0.5), [1.0, 1.0])),
+        np.concatenate((costs, [0.0])),
+    )
+    return SspProblem(n + 1, 1, n, transitions=view)
+
+
 def read_outcome(read, path):
     """What a reader makes of a file: the instance, or the error's type and message."""
     try:
@@ -447,11 +466,30 @@ class TestJsonFiles:
         problem = more_than_one_block_instance()
         data = json.loads(written(problem, "reward", path))
         triples = [(r["from"], r["action"], r["to"]) for r in data["transitions"]]
-        assert len(triples) == 40 * 11 * 41 + 11  # more than one block of 16384
+        assert len(triples) == 40 * 11 * 41 + 11  # more than eight blocks of 2048
         assert triples == sorted(triples)
         loaded, _ = load_problem(path)
         assert np.array_equal(dense(loaded).prob, dense(problem).prob)
         assert np.array_equal(dense(loaded).cost, dense(problem).cost)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_records_filling_whole_writer_blocks(self, blocks, tmp_path):
+        problem = whole_blocks_instance(blocks)
+        assert problem.transitions.row.size == blocks * sspbounds.core._WRITE_BLOCK
+        for convention in ("cost", "reward"):
+            path = tmp_path / f"{convention}.json"
+            written(problem, convention, path)
+            loaded, _ = load_problem(path)
+            for field in ("row", "to", "prob", "cost"):
+                expected = getattr(problem.transitions, field)
+                assert getattr(loaded.transitions, field).tobytes() == expected.tobytes()
+
+    def test_any_writer_block_size(self, grid, tmp_path, monkeypatch):
+        records = grid.transitions.row.size
+        for block in (1, 2, records // 2 - 1, records // 2, records - 1, records, records + 1):
+            monkeypatch.setattr(sspbounds.core, "_WRITE_BLOCK", block)
+            for convention in ("cost", "reward"):
+                written(grid, convention, tmp_path / "grid.json")
 
     def test_duplicate_record_rejected(self, stay_go):
         data = problem_to_json_dict(stay_go)
@@ -499,7 +537,7 @@ class TestJsonFiles:
     def test_save_peak_does_not_grow_with_entries(self, tmp_path):
         rng = np.random.default_rng(3)
         peaks = []
-        # 17,692 and 40,404 entries: one block of 16,384 and some, and two and a half
+        # 17,692 and 40,404 entries: 8.6 and 19.7 blocks of 2,048
         for num_states in (66, 100):
             problem = from_discounted(*random_discounted(rng, num_states, num_actions=4), 0.9)
             tracemalloc.start()

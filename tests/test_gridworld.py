@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg  # noqa: F401  loaded before any memory is traced
 
-from helpers import dense, problem_to_json_dict
+from helpers import (
+    dense,
+    open_grid_spec,
+    problem_to_json_dict,
+    reference_build_gridworld,
+    walled_grid_spec,
+)
 from sspbounds import (
     GridSpec,
     build_gridworld,
@@ -113,6 +120,79 @@ class TestBuilder:
         start = evaluate_policy(plain, uniform_random_policy(plain))
         base, _ = value_iteration(plain, start, epsilon=1e-12, max_iters=100_000)
         assert np.abs(tuned - base).max() <= 1e-9
+
+
+def dihedral_specs(side: int) -> list[GridSpec]:
+    """An open side x side grid with exits (0, 3) and (5, 0), in the square's eight symmetries."""
+    n = side - 1
+    images = [
+        lambda r, c: (r, c), lambda r, c: (c, n - r), lambda r, c: (n - r, n - c),
+        lambda r, c: (n - c, r), lambda r, c: (r, n - c), lambda r, c: (c, r),
+        lambda r, c: (n - r, c), lambda r, c: (n - c, n - r),
+    ]
+    return [
+        GridSpec(
+            width=side, height=side, walls=(), slip_redirects={},
+            exits={image(0, 3): 1.0, image(5, 0): -1.0},
+        )
+        for image in images
+    ]
+
+
+def oracle_specs() -> list[tuple[str, GridSpec]]:
+    """(name, spec) pairs the builder is compared with the loop builder on."""
+    cases = [("default", GridSpec()), ("no-redirects", GridSpec(slip_redirects={}))]
+    # the move and both slips can land on one cell
+    for width, height in ((1, 7), (7, 1), (2, 2), (1, 1)):
+        cases.append((f"{width}x{height}", open_grid_spec(width, height)))
+        cases.append((f"{width}x{height}-no-exits", GridSpec(
+            width=width, height=height, walls=(), exits={}, slip_redirects={},
+        )))
+    for side in (6, 30):
+        cases += [(f"dihedral-{side}-{k}", spec) for k, spec in enumerate(dihedral_specs(side))]
+    for seed, (width, height) in enumerate(((12, 9), (30, 26), (7, 7), (9, 14))):
+        rng = np.random.default_rng(seed)
+        cases.append((f"walled-{seed}", walled_grid_spec(rng, width, height)))
+    cases.append(("exits-on-walls-and-off-grid", GridSpec(
+        walls=((1, 1), (-1, 2), (3, 0), (0, 9)),
+        exits={(0, 3): 1.0, (1, 3): -1.0, (1, 1): 5.0, (-1, 0): 2.0, (3, 4): 3.0},
+    )))
+    # redirects of a wall, of a cell off the grid and of an exit are ignored
+    cases.append(("redirects-of-cells-without-slips", GridSpec(slip_redirects={
+        ((1, 1), 0, 2): (0, 0), ((5, 5), 1, 3): (0, 0), ((0, 3), 2, 0): (9, 9),
+        ((2, 2), 2, 1): (2, 1),
+    })))
+    # slips of probability 0, free moves (cost -0.0), and moves of infinite
+    # cost, which keep their entries of probability 0
+    cases.append(("no-slips", GridSpec(move_prob=1.0, slip_prob=0.0, step_reward=0.0)))
+    cases.append(("infinite-cost", GridSpec(slip_prob=0.0, step_reward=-math.inf)))
+    cases.append(("integer-dynamics", GridSpec(move_prob=1, slip_prob=0, step_reward=-1)))
+    return cases
+
+
+class TestBuilderOracle:
+    @pytest.mark.parametrize("name,spec", oracle_specs(), ids=[name for name, _ in oracle_specs()])
+    def test_kernel_is_the_loop_builders_bit_for_bit(self, name, spec):
+        got, want = build_gridworld(spec), reference_build_gridworld(spec)
+        assert (got.num_states, got.num_actions, got.terminal) == (
+            want.num_states, want.num_actions, want.terminal
+        )
+        for field in ("row", "to", "prob", "cost"):
+            column, expected = getattr(got.transitions, field), getattr(want.transitions, field)
+            assert column.dtype == expected.dtype
+            assert column.tobytes() == expected.tobytes(), field
+
+    @pytest.mark.parametrize("landing", [(1, 1), (3, 2), (2, 4), (-1, 0)])
+    def test_redirect_onto_a_wall_or_off_the_grid(self, landing):
+        spec = GridSpec(slip_redirects={((2, 2), 2, 1): landing})
+        with pytest.raises(ValueError, match=r"\(\(2, 2\), 2, 1\)"):
+            build_gridworld(spec)
+
+    @pytest.mark.parametrize("action,slip", [(2, 3), (2, 2), (0, 1), (4, 0)])
+    def test_redirect_of_a_slip_not_perpendicular(self, action, slip):
+        spec = GridSpec(slip_redirects={((2, 2), action, slip): (2, 1)})
+        with pytest.raises(ValueError, match=rf"\(\(2, 2\), {action}, {slip}\).*perpendicular"):
+            build_gridworld(spec)
 
 
 class TestPublishedValues:
