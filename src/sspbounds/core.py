@@ -615,7 +615,8 @@ _BLOCK_BYTES = 1 << 20
 _SKELETON = (_RECORD.format(*[""] * 5) + ",\n").encode()
 _RECORD_END = b"\n    },\n"
 _NUMBER_CHARS = b"0123456789.+-eE"
-_NUMBERS_MARKED = bytes(ord("#") if c in _NUMBER_CHARS else c for c in range(256))
+_IS_NUMBER_CHAR = np.zeros(256, dtype=bool)
+_IS_NUMBER_CHAR[list(_NUMBER_CHARS)] = True
 # The skeleton's characters but its commas and whitespace. None is a number
 # character; the whitespace stays so that no number can run into another.
 _KEY_CHARS = b'fromactinpbs"{}:'
@@ -677,13 +678,18 @@ def _read_written(file) -> tuple | None:
 
 def _records_in(block: bytes) -> int:
     """The number of records in a block of the writer's layout with no field empty, else 0."""
-    # Without its number characters the block is the skeleton ``count``
-    # times, and a number character follows each of its five '": '.
+    # Without its number characters the block is the skeleton ``count`` times.
     skeleton = block.translate(None, _NUMBER_CHARS)
     count = len(skeleton) // len(_SKELETON)
     if skeleton != _SKELETON * count:
         return 0
-    if block.translate(_NUMBERS_MARKED).count(b'": #') != 5 * count:
+    # Its colons are then the fields' five; each field holds a number when
+    # the colon's space comes straight after it and a number character
+    # straight after that. The space must not move: a number put against
+    # the colon would join a number character put into the key before it.
+    text = np.frombuffer(block, dtype=np.uint8)
+    after = np.flatnonzero(text == ord(":")) + 1
+    if not ((text[after] == ord(" ")).all() and _IS_NUMBER_CHAR[text[after + 1]].all()):
         return 0
     return count
 

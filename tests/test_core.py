@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,10 +11,12 @@ import pytest
 from helpers import (
     dense,
     monte_carlo_steps,
+    open_grid,
     problem_to_json_dict,
     random_all_proper_ssp,
     random_discounted,
     random_proper_mixed_ssp,
+    wide_random_ssp,
 )
 from sspbounds import (
     DeterministicPolicy,
@@ -362,13 +365,64 @@ def read_outcome(read, path):
     return (convention, problem.num_states, problem.num_actions, problem.terminal, *fields)
 
 
-def parsed_whole(path):
-    """The record-by-record read: ``problem_from_json_dict`` of the parsed text."""
+def parsed_whole(source):
+    """The record-by-record read: ``problem_from_json_dict`` of a file's or some bytes' text."""
+    text = source.decode() if isinstance(source, bytes) else source.read_text(encoding="utf-8")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"instance file is not valid JSON: {exc}") from exc
     return problem_from_json_dict(data)
+
+
+def block_read(content: bytes):
+    """The block reader's outcome on a file's bytes; None where ``load_problem`` reads it whole."""
+    written = sspbounds.core._read_written(io.BytesIO(content))
+    if written is None:
+        return None
+    return read_outcome(lambda _: sspbounds.core._instance(*written, ordered=True), content)
+
+
+def tiny_instance() -> SspProblem:
+    """One decision state whose records spell signs, exponents and several digits."""
+    view = Transitions.from_entries(
+        2, [0, 0, 1, 2, 3], [0, 1, 1, 1, 1], [0.5, 0.5, 1.0, 1.0, 1.0],
+        [3.25, -2.5e-05, 12.0, 0.0, 0.0],
+    )
+    return SspProblem(2, 2, 1, transitions=view)
+
+
+# What the mutations below put into a file, one at a time.
+MUTATION_CHARS = [*"0123456789.+-eE", " ", ",", "\n", ":", '"']
+MUTATION_PAIRS = ["55", "5 ", " 5", "e5", ".5", "05", ",5"]
+
+
+def mutations(text: str, records):
+    """Edits of ``text`` at every offset of the given records, each of them a whole file.
+
+    Each character and pair above is inserted, or written over as many
+    characters, at every offset; each character also over two. Each
+    field's number is moved to every other offset of its record, and each
+    field's number is put against its colon with the space after it and a
+    digit inserted at every offset of its record: the fast path's field
+    check is what rejects these.
+    """
+    for span in (record_span(text, i) for i in records):
+        record = text[span]
+        for at in range(span.start, span.stop):
+            for piece in MUTATION_CHARS + MUTATION_PAIRS:
+                yield text[:at] + piece + text[at:]
+                yield text[:at] + piece + text[at + len(piece) :]
+            for piece in MUTATION_CHARS:
+                yield text[:at] + 2 * piece + text[at + 2 :]
+        for field in re.finditer(r": ([^,\n]+)", record):
+            number = field[1]
+            without = record[: field.start(1)] + record[field.end(1) :]
+            against = record[: field.start()] + f":{number} " + record[field.end() :]
+            edits = [without[:at] + number + without[at:] for at in range(len(without) + 1)]
+            edits += [against[:at] + "5" + against[at:] for at in range(len(against) + 1)]
+            for edited in edits:
+                yield text[: span.start] + edited + text[span.stop :]
 
 
 def set_field(name, value):
@@ -418,6 +472,10 @@ RECORD_EDITS = {
     "digit in a key, field empty": lambda r: empty("action", r).replace("ac", "a1c"),
     "digit before the colon, field empty": lambda r: empty("to", r).replace('o":', 'o"5:'),
     "digit after the colon, field empty": lambda r: empty("to", r).replace('o": ', 'o":5 '),
+    # a number against the colon joins a number character before it
+    "digit before the colon, number against it": lambda r: set_field("cost", "25")(r).replace(
+        '"cost": 25', '"cost"5:25 '
+    ),
     "digit in the indentation": lambda r: r.replace('\n      "prob"', '\n   7   "prob"'),
     "digit after a record, field empty": lambda r: empty("cost", r).replace("\n    }", "\n  3  }"),
     "duplicate record": lambda r: r + ",\n" + r,
@@ -557,11 +615,29 @@ class TestJsonFiles:
         monkeypatch.setattr(sspbounds.core, "read_json", read_whole)
         golden, _ = load_problem(os.path.join(os.path.dirname(__file__), "data", "gridworld.json"))
         rng = np.random.default_rng(6)
-        problems = [golden, stay_go, random_proper_mixed_ssp(rng), more_than_one_block_instance()]
+        problems = [
+            golden,
+            stay_go,
+            random_proper_mixed_ssp(rng),
+            more_than_one_block_instance(),
+            # the shapes of the benchmark's instances: an open grid, a sparse
+            # instance of three successors and an exit per pair, a dense reduction
+            open_grid(30),
+            wide_random_ssp(rng, 100),
+            from_discounted(*random_discounted(rng, 50, 4), 0.95),
+        ]
         path = tmp_path / "instance.json"
         for problem in problems:
-            for convention in ("cost", "reward"):
+            view = problem.transitions
+            for convention, sign in (("cost", 1.0), ("reward", -1.0)):
                 save_problem(problem, path, convention)
+                with open(path, "rb") as file:
+                    columns = sspbounds.core._read_written(file)[4:]
+                # the file's numbers, before the loader turns rewards into costs
+                expected = (view.row, view.to, view.prob, sign * view.cost + 0.0)
+                for column, kernel in zip(columns, expected):
+                    assert column.dtype == kernel.dtype
+                    assert column.tobytes() == kernel.tobytes()
                 loaded, read_convention = load_problem(path)
                 assert read_convention == convention
                 for field in ("row", "to", "prob", "cost"):
@@ -619,6 +695,28 @@ class TestJsonFiles:
         for content in files:
             path.write_bytes(content.encode())
             assert read_outcome(load_problem, path) == read_outcome(parsed_whole, path)
+
+    @pytest.mark.parametrize(
+        "convention, block_bytes", [("cost", None), ("reward", None), ("reward", 256)]
+    )
+    def test_block_reader_agrees_on_every_mutation(
+        self, convention, block_bytes, tmp_path, monkeypatch
+    ):
+        text = written(tiny_instance(), convention, tmp_path / "tiny.json")
+        records = range(text.count('"from"'))
+        if block_bytes:
+            # blocks of one or two records; the edits are to the record the first read ends in
+            monkeypatch.setattr(sspbounds.core, "_BLOCK_BYTES", block_bytes)
+            records = [record_across(text, block_bytes)]
+        accepted = 0
+        for content in map(str.encode, mutations(text, records)):
+            # a file the block reader turns down is read whole, as parsed_whole reads it
+            outcome = block_read(content)
+            if outcome is not None:
+                accepted += 1
+                assert outcome == read_outcome(parsed_whole, content), content.decode()
+        # edits within a number, such as one digit for another, keep to the fast path
+        assert accepted > 250 * len(records)
 
     def test_load_peak_does_not_grow_with_entries(self, tmp_path):
         rng = np.random.default_rng(3)
