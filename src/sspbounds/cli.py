@@ -31,11 +31,12 @@ from .core import (
     save_problem,
 )
 from .dp import (
+    _policy_iteration,
+    _value_iteration,
     evaluate_policy,
     policy_iteration,
     require_uniformly_improvable,
     trace_csv,
-    value_iteration,
 )
 from .errors import (
     HorizonCapExceeded,
@@ -126,17 +127,17 @@ def cmd_solve(config: RunConfig) -> int:
     truncated = False
     try:
         if config.algorithm == "vi":
-            values, trace = value_iteration(
-                problem, initial, config.epsilon, config.max_iters
+            values, trace = _value_iteration(
+                problem, initial, start, config.epsilon, config.max_iters
+            )
+        elif config.init == "uniform-random":
+            # `initial` is this policy's evaluation, and `start` its backup
+            _, values, trace = _policy_iteration(
+                problem, uniform_random_policy(problem), initial, start, config.max_iters
             )
         else:
-            if config.init == "uniform-random":
-                # `initial` is this policy's evaluation
-                start_policy, start_values = uniform_random_policy(problem), initial
-            else:
-                start_policy, start_values = DeterministicPolicy(actions=start.actions), None
             _, values, trace = policy_iteration(
-                problem, start_policy, config.max_iters, start_values
+                problem, DeterministicPolicy(actions=start.actions), config.max_iters
             )
     except MaxItersExceeded as exc:
         values, trace = exc.values, exc.trace

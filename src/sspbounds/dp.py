@@ -11,7 +11,6 @@ reproducible and ``policy_backup(greedy_policy(J), J)`` equals
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,19 +111,16 @@ class Backup(NamedTuple):
 class IterationRecord:
     """One solver iteration: the value function and how it was reached.
 
-    ``residual``, the change extremes and ``improvable`` describe the
-    *previous* iterate, as seen by the backup that produced this row; they
-    are None on row 0. ``improvable`` is that backup's uniform-improvability
-    verdict, the same test :func:`is_uniformly_improvable` makes.
+    ``residual`` and ``improvable`` describe the *previous* iterate, as seen
+    by the backup that produced this row; they are None on row 0.
+    ``improvable`` is that backup's uniform-improvability verdict, the same
+    test :func:`is_uniformly_improvable` makes.
     """
 
     iteration: int
     values: np.ndarray
     residual: float | None
-    min_change: float | None
-    max_change: float | None
-    elapsed: float
-    improvable: bool | None = None
+    improvable: bool | None
 
 
 @dataclass
@@ -220,17 +216,27 @@ def require_uniformly_improvable(problem: SspProblem, values: np.ndarray) -> Bac
     return _backup(problem, values).require_improvable()
 
 
-def _record(k: int, values: np.ndarray, backup: Backup, start: float) -> IterationRecord:
-    """Trace row k: ``values``, reached by ``backup`` of row k - 1."""
-    b, elapsed = backup, time.perf_counter() - start
-    return IterationRecord(k, values, b.residual, b.min_change, b.max_change, elapsed, b.improvable)
+def _iterate(problem, values, backup, step, done, max_iters: int, failure: str):
+    """The solvers' loop: trace rows from row 0's ``values`` and their ``backup``.
+
+    Row k + 1 holds ``step(values, backup)`` of row k and is backed up once
+    here, unless it is row k's own array, which repeats row k and shares its
+    backup. The rows end once ``done(backup)`` holds for the last row; a row
+    past ``max_iters`` raises :class:`MaxItersExceeded` with ``failure`` instead.
+    """
+    records = [IterationRecord(0, values, None, None)]
+    while not done(backup):
+        if len(records) > max_iters:
+            raise MaxItersExceeded(failure, values, IterationTrace(records, backup))
+        new = step(values, backup)
+        records.append(IterationRecord(len(records), new, backup.residual, backup.improvable))
+        if new is not values:
+            values, backup = new, _backup(problem, new)
+    return values, IterationTrace(records, backup)
 
 
 def value_iteration(
-    problem: SspProblem,
-    initial_values: np.ndarray,
-    epsilon: float,
-    max_iters: int = 10_000,
+    problem: SspProblem, initial_values: np.ndarray, epsilon: float, max_iters: int = 10_000
 ) -> tuple[np.ndarray, IterationTrace]:
     """Apply the optimal backup until the Bellman residual drops below epsilon.
 
@@ -247,20 +253,14 @@ def value_iteration(
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     values = check_values(problem, initial_values).copy()
-    start = time.perf_counter()
-    records = [IterationRecord(0, values.copy(), None, None, None, 0.0)]
-    backup = _backup(problem, values)
-    while not backup.residual < epsilon:
-        if len(records) > max_iters:
-            raise MaxItersExceeded(
-                f"value iteration did not reach residual {epsilon:g} in {max_iters} iterations",
-                values,
-                IterationTrace(records, backup),
-            )
-        values = backup.backed_up
-        records.append(_record(len(records), values.copy(), backup, start))
-        backup = _backup(problem, values)
-    return values, IterationTrace(records, backup)
+    return _value_iteration(problem, values, _backup(problem, values), epsilon, max_iters)
+
+
+def _value_iteration(problem, values, backup, epsilon: float, max_iters: int):
+    """:func:`value_iteration` from checked ``values`` and their ``backup``."""
+    failure = f"value iteration did not reach residual {epsilon:g} in {max_iters} iterations"
+    step, done = (lambda _, backup: backup.backed_up), (lambda backup: backup.residual < epsilon)
+    return _iterate(problem, values, backup, step, done, max_iters, failure)
 
 
 class _Levels(NamedTuple):
@@ -570,10 +570,7 @@ def evaluate_policy(problem: SspProblem, policy: Policy) -> np.ndarray:
 
 
 def policy_iteration(
-    problem: SspProblem,
-    initial_policy: Policy,
-    max_iters: int = 1_000,
-    initial_values: np.ndarray | None = None,
+    problem: SspProblem, initial_policy: Policy, max_iters: int = 1_000
 ) -> tuple[DeterministicPolicy, np.ndarray, IterationTrace]:
     """Alternate exact evaluation and greedy improvement from a proper policy.
 
@@ -581,34 +578,31 @@ def policy_iteration(
     functions agree within 1e-12 in max norm. Starting from a proper
     policy, every iterate is proper and its value is elementwise no worse
     than its predecessor's. Trace row 0 holds the initial policy's
-    evaluation, or ``initial_values`` when the caller has already
-    evaluated it; row k holds the k-th improved policy's evaluation
+    evaluation; row k holds the k-th improved policy's evaluation
     together with the Bellman residual of row k-1's values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    start = time.perf_counter()
-    values = (
-        evaluate_policy(problem, initial_policy) if initial_values is None else initial_values
-    )
-    records = [IterationRecord(0, values, None, None, None, time.perf_counter() - start)]
-    backup = _backup(problem, values)
-    previous: DeterministicPolicy | None = (
-        initial_policy if isinstance(initial_policy, DeterministicPolicy) else None
-    )
-    for k in range(1, max_iters + 1):
-        if previous is not None and np.array_equal(backup.actions, previous.actions):
-            records.append(_record(k, values, backup, start))
-            return previous, values, IterationTrace(records, backup)
-        improved = DeterministicPolicy(actions=backup.actions)
-        new_values = evaluate_policy(problem, improved)
-        records.append(_record(k, new_values, backup, start))
-        backup = _backup(problem, new_values)
-        if np.abs(new_values - values).max() < POLICY_VALUE_TOL:
-            return improved, new_values, IterationTrace(records, backup)
-        previous, values = improved, new_values
-    raise MaxItersExceeded(
-        f"policy iteration did not converge in {max_iters} improvements",
-        values,
-        IterationTrace(records, backup),
-    )
+    values = evaluate_policy(problem, initial_policy)
+    return _policy_iteration(problem, initial_policy, values, _backup(problem, values), max_iters)
+
+
+def _policy_iteration(problem, policy: Policy, values, backup, max_iters: int):
+    """:func:`policy_iteration` from ``policy``, its evaluation ``values`` and their ``backup``."""
+    # the policy of the last row, once deterministic, and whether that row ends the run
+    current = policy if isinstance(policy, DeterministicPolicy) else None
+    last = False
+
+    def improve(values: np.ndarray, backup: Backup) -> np.ndarray:
+        nonlocal current, last
+        last = current is not None and np.array_equal(backup.actions, current.actions)
+        if last:
+            return values
+        current = DeterministicPolicy(actions=backup.actions)
+        new_values = evaluate_policy(problem, current)
+        last = np.abs(new_values - values).max() < POLICY_VALUE_TOL
+        return new_values
+
+    failure = f"policy iteration did not converge in {max_iters} improvements"
+    values, trace = _iterate(problem, values, backup, improve, lambda _: last, max_iters, failure)
+    return current, values, trace

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dp
 from .bounds import BoundsContext, TraceRow, steps_bound_positive_costs
 from .core import SspProblem, Transitions, _stored
-from .dp import csv_cell, evaluate_policy, policy_iteration, value_iteration
+from .dp import csv_cell, evaluate_policy, policy_iteration
 from .properness import uniform_random_policy
 
 # Comparison tolerances for the reproduction checks.
@@ -261,11 +262,12 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
     """
     initial = uniform_random_policy(problem)
     start_values = evaluate_policy(problem, initial)
+    start = dp.require_uniformly_improvable(problem, start_values)
     if algorithm == "vi":
-        _, trace = value_iteration(problem, start_values, epsilon=1e-9, max_iters=10_000)
+        _, trace = dp._value_iteration(problem, start_values, start, 1e-9, 10_000)
         reported = 13
     elif algorithm == "pi":
-        _, _, trace = policy_iteration(problem, initial, initial_values=start_values)
+        _, _, trace = dp._policy_iteration(problem, initial, start_values, start, 1_000)
         reported = None
     else:
         raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")

@@ -182,6 +182,20 @@ class TestSolve:
         lines = out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == pytest.approx(-1.603, abs=0.01)
 
+    @pytest.mark.parametrize("start", ["uniform", "file"])
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_csv_is_the_golden_file(self, tmp_path, algorithm, start):
+        golden = Path(__file__).parent / "data" / "gridworld.json"
+        argv = ["solve", "--input", str(golden), "--algorithm", algorithm, "--format", "csv"]
+        if start == "file":
+            problem, _ = load_problem(golden)
+            uniform = evaluate_policy(problem, uniform_random_policy(problem))
+            argv += ["--init", values_file(tmp_path, "uniform.json", (-uniform).tolist())]
+        out = tmp_path / "solve.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        expected = Path(__file__).parent / "data" / f"solve_{algorithm}_{start}.csv"
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_horizon_cap_exit_code(self, tmp_path, capsys, monkeypatch, stay_go):
         import numpy as np
 
@@ -232,10 +246,12 @@ class TestSolve:
 class TestOneBackupPerIterate:
     """A solve backs up each trace row's values once, its start check included."""
 
-    @pytest.mark.parametrize("algorithm, extra", [("vi", 1), ("pi", 0)])
+    # `last_row` counts the last row's backup: value iteration's stops it, and
+    # policy iteration's last row repeats the row before it and shares its backup
+    @pytest.mark.parametrize("algorithm, last_row", [("vi", 1), ("pi", 0)])
     @pytest.mark.parametrize("start", ["uniform-random", "file"])
     def test_backups_per_trace_row(
-        self, grid, tmp_path, capsys, monkeypatch, algorithm, extra, start
+        self, grid, tmp_path, capsys, monkeypatch, algorithm, last_row, start
     ):
         golden = str(Path(__file__).parent / "data" / "gridworld.json")
         argv = ["solve", "--input", golden, "--algorithm", algorithm, "--format", "json"]
@@ -262,9 +278,10 @@ class TestOneBackupPerIterate:
             monkeypatch.setattr(module, "evaluate_policy", evaluate_counted_apart)
         assert main(argv) == 0
         trace = json.loads(capsys.readouterr().out)["trace"]
-        # a backup per row, plus the start check; policy iteration's last row
-        # repeats the row before it and shares its backup
-        assert len(backups) == len(trace) + extra
+        # the start check backs up row 0, except that policy iteration from a
+        # values file starts from the evaluation of their greedy policy
+        start_check = int(algorithm == "pi" and start == "file")
+        assert len(backups) == len(trace) - 1 + last_row + start_check
 
 
 class TestValuesFile:
@@ -313,8 +330,8 @@ class TestSolverFailures:
         def singular(*args):
             raise SingularSystem("policy evaluation residual 1e-3 exceeds 1e-10")
 
-        monkeypatch.setattr(sspbounds.cli, "value_iteration", singular)
-        monkeypatch.setattr(sspbounds.cli, "policy_iteration", singular)
+        monkeypatch.setattr(sspbounds.cli, "_value_iteration", singular)
+        monkeypatch.setattr(sspbounds.cli, "_policy_iteration", singular)
         code = main(["solve", "--input", grid_reward_file, "--algorithm", algorithm])
         assert code == 3
         assert json.loads(capsys.readouterr().err) == {

@@ -707,6 +707,15 @@ class TestPolicyIteration:
         with pytest.raises(ImproperPolicy):
             policy_iteration(stay_go, stay_policy())
 
+    def test_max_iters_counts_improvements(self, grid):
+        # the gridworld's fourth improvement repeats the third policy
+        with pytest.raises(MaxItersExceeded) as info:
+            policy_iteration(grid, uniform_random_policy(grid), max_iters=3)
+        assert len(info.value.trace) == 4
+        assert info.value.values is info.value.trace.records[-1].values
+        _, _, trace = policy_iteration(grid, uniform_random_policy(grid), max_iters=4)
+        assert len(trace) == 5
+
 
 class TestUniformImprovability:
     def test_policy_values_are_improvable(self, grid, grid_uniform_values, stay_go):
