@@ -79,9 +79,10 @@ class HorizonCertificate:
     ``joined_at[i]`` is the stage at which state i joined the inevitable
     set, the states from which termination within that many stages has
     positive probability under every policy (0 for the terminal, -1 for
-    states that never join); :meth:`inevitable_at` gives any stage's set.
-    ``values`` holds the cheapest cost of avoiding termination for
-    ``last_stage`` stages (NaN on the inevitable set). Any policy whose
+    states that never join), so the stage-k set is the states with
+    0 <= joined_at <= k. ``values`` holds the cheapest cost of avoiding
+    termination for the search's last stage, m once every state joined and
+    m - 1 otherwise (NaN on the inevitable set). Any policy whose
     cost-to-go is elementwise at most the reference values terminates
     within ``m`` stages with positive probability from every state.
     """
@@ -96,18 +97,6 @@ class HorizonCertificate:
             array = np.array(getattr(self, name))
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    @property
-    def last_stage(self) -> int:
-        """The final stage of the search: m once every state joined, else m - 1."""
-        return self.m if (self.joined_at >= 0).all() else self.m - 1
-
-    def inevitable_at(self, k: int) -> frozenset[int]:
-        """The stage-k inevitable set, for 0 <= k <= ``last_stage``."""
-        if not 0 <= k <= self.last_stage:
-            raise IndexError(f"stage {k} outside 0..{self.last_stage}")
-        joined = (self.joined_at >= 0) & (self.joined_at <= k)
-        return frozenset(int(i) for i in np.nonzero(joined)[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,12 +310,7 @@ def steps_bound_all_proper(
     return steps
 
 
-def termination_horizon(
-    problem: SspProblem,
-    values: np.ndarray,
-    criterion: str = "text",
-    max_stages: int | None = None,
-) -> HorizonCertificate:
+def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCertificate:
     """Find a stage count m by which low-cost policies must be able to terminate.
 
     Runs a finite-horizon recursion on the cheapest cost of *avoiding*
@@ -340,21 +324,14 @@ def termination_horizon(
     transitions it can still use; the arrays of those are rebuilt only at
     the stages where states join.
 
-    ``criterion`` selects the stopping comparison: ``"text"`` adds the
-    cheapest terminal-transition cost before comparing (the default),
-    ``"pseudocode"`` compares the bare stage values and yields a larger m.
-
-    Raises :class:`HorizonCapExceeded` after ``max_stages`` stages, or as
-    soon as a stage where no state joins raises no value, which indicates
-    a nonpositive-cost way to delay termination forever.
+    Raises :class:`HorizonCapExceeded` after ``DEFAULT_HORIZON_CAP``
+    stages, or as soon as a stage where no state joins raises no value,
+    which indicates a nonpositive-cost way to delay termination forever.
     """
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
-    if criterion not in ("text", "pseudocode"):
-        raise ValueError(f"criterion must be 'text' or 'pseudocode', got {criterion!r}")
     min_terminal_cost, _ = _kernel_facts(problem).terminal_move()
-    offset = min_terminal_cost if criterion == "text" else 0.0
-    m, joined_at, stage_values = _search_horizon(problem, values, offset, max_stages)
+    m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost)
     return HorizonCertificate(
         m=m,
         joined_at=joined_at,
@@ -364,15 +341,15 @@ def termination_horizon(
 
 
 def _search_horizon(
-    problem: SspProblem, values: np.ndarray, offset: float, max_stages: int | None = None
+    problem: SspProblem, values: np.ndarray, min_terminal_cost: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The horizon recursion: m, each state's joining stage and the last stage values.
 
-    ``offset`` is added to the stage values before the stop comparison.
+    The stop comparison adds ``min_terminal_cost`` to the stage values, and
+    the cap is ``DEFAULT_HORIZON_CAP`` as the module holds it at the call.
     The returned values are stale on the inevitable set.
     """
-    if max_stages is None:
-        max_stages = DEFAULT_HORIZON_CAP
+    cap = DEFAULT_HORIZON_CAP
     num_states, num_actions = problem.num_states, problem.num_actions
     view = problem.transitions
     joined_at = np.full(num_states, -1, dtype=np.int64)
@@ -389,9 +366,9 @@ def _search_horizon(
             outside_values = values[outside]
         if not outside.size:
             return k, joined_at, stage_values
-        if (stage_values[outside] + offset > outside_values).all():
+        if (stage_values[outside] + min_terminal_cost > outside_values).all():
             return k + 1, joined_at, stage_values
-        if k >= max_stages:
+        if k >= cap:
             raise HorizonCapExceeded(k)
         k += 1
         if frontier.size:
@@ -439,21 +416,20 @@ def steps_bound_from_horizon(
     looser than the cost-based bounds. When rho_m is too small to be a
     normal float the bound is infinite, i.e. vacuous.
     """
-    facts = _kernel_facts(problem)
+    return _horizon_steps(problem, _kernel_facts(problem), certificate.m)
+
+
+def _horizon_steps(problem: SspProblem, facts: KernelFacts, m: int) -> np.ndarray:
+    """m / rho_m at every nonterminal state, rho_m = p_n^(m-1) p_t; inf where rho_m underflows."""
     _, p_terminal = facts.terminal_move()
+    p_nonterminal = facts.p_nonterminal
     steps = np.zeros(problem.num_states)
-    steps[problem.nonterminal] = _horizon_steps(
-        certificate.m, p_terminal, facts.p_nonterminal
-    )
-    return steps
-
-
-def _horizon_steps(m: int, p_terminal: float, p_nonterminal: float) -> float:
-    """m / rho_m with rho_m = p_n^(m-1) p_t, or inf when rho_m underflows."""
     log_rho = (m - 1) * math.log(p_nonterminal) + math.log(p_terminal)
     if log_rho < _LOG_SMALLEST_NORMAL:
-        return math.inf
-    return m / (p_nonterminal ** (m - 1) * p_terminal)
+        steps[problem.nonterminal] = math.inf
+    else:
+        steps[problem.nonterminal] = m / (p_nonterminal ** (m - 1) * p_terminal)
+    return steps
 
 
 def resolve_method(problem: SspProblem, method: str = "auto") -> str:
@@ -529,10 +505,7 @@ class BoundsContext:
             steps = self.all_proper_steps.copy()
         else:
             m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost)
-            steps = np.zeros(self.problem.num_states)
-            steps[self.problem.nonterminal] = _horizon_steps(
-                m, facts.p_terminal, facts.p_nonterminal
-            )
+            steps = _horizon_steps(self.problem, facts, m)
         steps[facts.overridden] = 1.0
         return steps
 

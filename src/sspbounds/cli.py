@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,29 +55,6 @@ EXIT_SOLVER = 3
 EXIT_HORIZON_CAP = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    input: str | None = None
-    algorithm: str = "pi"
-    init: str = "uniform-random"
-    epsilon: float = 1e-6
-    max_iters: int = 10_000
-    bounds_method: str = "auto"
-    output_format: str = "csv"
-    output: str | None = None
-    table: str | None = None
-    values: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:  # NaN too
-            raise ValueError("epsilon must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -107,18 +83,18 @@ def _load_values_file(path: str, problem: SspProblem, convention: str) -> np.nda
     return np.negative(values) if convention == "reward" else values
 
 
-def _initial_values(config: RunConfig, problem: SspProblem, convention: str) -> np.ndarray:
-    if config.init == "uniform-random":
+def _initial_values(init: str, problem: SspProblem, convention: str) -> np.ndarray:
+    if init == "uniform-random":
         return evaluate_policy(problem, uniform_random_policy(problem))
-    if config.init == "zero":
+    if init == "zero":
         return np.zeros(problem.num_states)
-    return _load_values_file(config.init, problem, convention)
+    return _load_values_file(init, problem, convention)
 
 
-def cmd_solve(config: RunConfig) -> int:
-    problem, convention = load_problem(config.input)
+def cmd_solve(args: argparse.Namespace) -> int:
+    problem, convention = load_problem(args.input)
     sign = -1.0 if convention == "reward" else 1.0
-    initial = _initial_values(config, problem, convention)
+    initial = _initial_values(args.init, problem, convention)
     # every bound this command reports relies on a uniformly improvable start
     start = require_uniformly_improvable(problem, initial)
 
@@ -126,36 +102,36 @@ def cmd_solve(config: RunConfig) -> int:
     # valid bounds, so report what we have and note the truncation.
     truncated = False
     try:
-        if config.algorithm == "vi":
+        if args.algorithm == "vi":
             values, trace = _value_iteration(
-                problem, initial, start, config.epsilon, config.max_iters
+                problem, initial, start, args.epsilon, args.max_iters
             )
-        elif config.init == "uniform-random":
+        elif args.init == "uniform-random":
             # `initial` is this policy's evaluation, and `start` its backup
             _, values, trace = _policy_iteration(
-                problem, uniform_random_policy(problem), initial, start, config.max_iters
+                problem, uniform_random_policy(problem), initial, start, args.max_iters
             )
         else:
             _, values, trace = policy_iteration(
-                problem, DeterministicPolicy(actions=start.actions), config.max_iters
+                problem, DeterministicPolicy(actions=start.actions), args.max_iters
             )
     except MaxItersExceeded as exc:
         values, trace = exc.values, exc.trace
         truncated = True
 
     # the report covers the trace's last iterate, which is `values`
-    context = bounds_mod.BoundsContext.for_problem(problem, config.bounds_method)
+    context = bounds_mod.BoundsContext.for_problem(problem, args.bounds_method)
     report, rows = context.certify(trace, sign)
 
-    if config.output_format == "csv":
-        _emit(trace_csv(rows), config.output)
+    if args.output_format == "csv":
+        _emit(trace_csv(rows), args.output)
     else:
         payload = {
             "config": {
-                "algorithm": config.algorithm,
-                "init": config.init,
-                "epsilon": config.epsilon,
-                "max_iters": config.max_iters,
+                "algorithm": args.algorithm,
+                "init": args.init,
+                "epsilon": args.epsilon,
+                "max_iters": args.max_iters,
                 "bounds_method": context.method,
                 "convention": convention,
                 "truncated": truncated,
@@ -170,27 +146,28 @@ def cmd_solve(config: RunConfig) -> int:
                 }
                 for row in rows
             ],
-            "values": [sign * v for v in values.tolist()],
+            # 0.0 - v, not -v, which turns the terminal's zero into -0.0
+            "values": (0.0 - values if convention == "reward" else values).tolist(),
             "bounds": report.to_json_dict(),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
-def cmd_bench(config: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     problem = gw.build_gridworld()
-    if config.table == "table2":
+    if args.table == "table2":
         rows = gw.run_table2(problem)
         mismatches = gw.compare_table2(rows)
-        _emit(gw.table2_csv(rows), config.output)
+        _emit(gw.table2_csv(rows), args.output)
         compared = f"{len(rows)} rows x {len(rows[0].values)} states"
     else:
-        rows = gw.run_table1(problem, config.algorithm)
+        rows = gw.run_table1(problem, args.algorithm)
         expected = (
-            gw.EXPECTED_TABLE1_VI if config.algorithm == "vi" else gw.EXPECTED_TABLE1_PI
+            gw.EXPECTED_TABLE1_VI if args.algorithm == "vi" else gw.EXPECTED_TABLE1_PI
         )
-        mismatches = gw.compare_table1(rows, expected, config.algorithm)
-        _emit(trace_csv(rows), config.output)
+        mismatches = gw.compare_table1(rows, expected, args.algorithm)
+        _emit(trace_csv(rows), args.output)
         compared = f"{len(rows)} rows"
     if mismatches:
         for line in mismatches:
@@ -201,8 +178,8 @@ def cmd_bench(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig) -> int:
-    problem, convention = load_problem(config.input)
+def cmd_check(args: argparse.Namespace) -> int:
+    problem, convention = load_problem(args.input)
     report = all_policies_proper(problem)
     uniform = is_proper(problem, uniform_random_policy(problem))
     payload: dict = {
@@ -210,8 +187,8 @@ def cmd_check(config: RunConfig) -> int:
         "all_policies_proper": report.to_json_dict(),
         "uniform_random_policy": uniform.to_json_dict(),
     }
-    if config.values:
-        values = _load_values_file(config.values, problem, convention)
+    if args.values:
+        values = _load_values_file(args.values, problem, convention)
         # the search's own precondition backup gives the improvability verdict
         try:
             certificate = bounds_mod.termination_horizon(problem, values)
@@ -220,15 +197,15 @@ def cmd_check(config: RunConfig) -> int:
         else:
             payload["uniformly_improvable"] = True
             payload["horizon_certificate"] = certificate.to_json_dict()
-    _emit(json.dumps(payload, indent=2) + "\n", config.output)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
-def cmd_convert(config: RunConfig) -> int:
-    problem, convention = load_problem(config.input)
+def cmd_convert(args: argparse.Namespace) -> int:
+    problem, convention = load_problem(args.input)
     flipped = "reward" if convention == "cost" else "cost"
-    if config.output:
-        save_problem(problem, config.output, convention=flipped)
+    if args.output:
+        save_problem(problem, args.output, convention=flipped)
     else:
         sys.stdout.writelines(_json_chunks(problem, flipped))
     return EXIT_OK
@@ -261,40 +238,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="output_format", choices=("csv", "json"), default="csv"
     )
     solve.add_argument("--output", default=None)
+    solve.set_defaults(handler=cmd_solve)
 
     bench = sub.add_parser("bench", help="reproduce the gridworld tables")
     bench.add_argument("table", choices=("table1", "table2"))
     bench.add_argument("--algorithm", choices=("vi", "pi"), default="pi")
     bench.add_argument("--output", default=None)
+    bench.set_defaults(handler=cmd_bench)
 
     check = sub.add_parser("check", help="properness and improvability analysis")
     check.add_argument("--input", required=True)
     check.add_argument("--values", default=None, help="value-function JSON file")
     check.add_argument("--output", default=None)
+    check.set_defaults(handler=cmd_check)
 
     convert = sub.add_parser("convert", help="flip a file between reward and cost form")
     convert.add_argument("--input", required=True)
     convert.add_argument("--output", default=None)
+    convert.set_defaults(handler=cmd_convert)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        # each subcommand's options are named after RunConfig's fields
-        config = RunConfig(**vars(args))
-    except ValueError as exc:
-        _error_line(exc)
+    args = build_parser().parse_args(argv)
+    # the ranges of solve's two numbers, which their argparse types do not check
+    message = None
+    if args.command == "solve":
+        if not 0 < args.epsilon < math.inf:  # NaN too
+            message = "epsilon must be positive and finite"
+        elif args.max_iters < 1:
+            message = "max_iters must be at least 1"
+    if message:
+        _error_line(ValueError(message))
         return EXIT_VALIDATION
-    handlers = {
-        "solve": cmd_solve,
-        "bench": cmd_bench,
-        "check": cmd_check,
-        "convert": cmd_convert,
-    }
     try:
-        return handlers[config.command](config)
+        return args.handler(args)
     except ValidationError as exc:
         _error_line(exc)
         return EXIT_VALIDATION

@@ -308,7 +308,7 @@ def from_discounted(transitions, costs, beta: float) -> SspProblem:
         raise ValueError("costs must have the same shape as transitions")
     n, num_actions = transitions.shape[0], transitions.shape[1]
     row_sums = transitions.sum(axis=2)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > 1e-9)
+    bad = np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL)
     if bad.size:
         i, u = map(int, bad[0])
         raise RowSumViolation(i, u, float(row_sums[i, u]))

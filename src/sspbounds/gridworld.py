@@ -78,8 +78,6 @@ DIRECTIONS = {
 }
 PERPENDICULAR = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
 
-ACTION_NAMES = ("up", "down", "east", "west")
-
 
 def build_gridworld(spec: GridSpec | None = None) -> SspProblem:
     """Construct the gridworld as a cost-form shortest path instance.
@@ -326,23 +324,23 @@ def compare_table1(
     return problems
 
 
-def compare_table2(rows: list[Table2Row], label: str = "table2") -> list[str]:
+def compare_table2(rows: list[Table2Row]) -> list[str]:
     problems = []
     if len(rows) != len(EXPECTED_TABLE2):
         problems.append(
-            f"{label}: got {len(rows)} rows, expected {len(EXPECTED_TABLE2)}"
+            f"table2: got {len(rows)} rows, expected {len(EXPECTED_TABLE2)}"
         )
     for got, want in zip(rows, EXPECTED_TABLE2):
         for state, (g, w) in enumerate(zip(got.values, want.values)):
             if not _close(g, w, TOL_VALUE):
                 problems.append(
-                    f"{label} row {want.iteration} J({state}): got {g:.4f}, "
+                    f"table2 row {want.iteration} J({state}): got {g:.4f}, "
                     f"want {w} (tol {TOL_VALUE})"
                 )
         for state, (g, w) in enumerate(zip(got.steps, want.steps)):
             if not _close(g, w, TOL_STEPS):
                 problems.append(
-                    f"{label} row {want.iteration} N({state}): got {g:.4f}, "
+                    f"table2 row {want.iteration} N({state}): got {g:.4f}, "
                     f"want {w} (tol {TOL_STEPS})"
                 )
     return problems

@@ -53,6 +53,7 @@ from sspbounds import (
     validate,
     value_iteration,
 )
+import sspbounds.bounds
 from sspbounds.bounds import _kernel_facts, _search_horizon
 from sspbounds.errors import (
     HorizonCapExceeded,
@@ -269,30 +270,31 @@ class TestStepsBoundAllProper:
                 assert result.mean - 3 * result.ci95 <= steps[start] + 1e-9
 
 
+def joining_stages(stage_sets, num_states: int) -> list[int]:
+    """Each state's first stage in the per-stage inevitable sets, -1 for none."""
+    joined = [-1] * num_states
+    for k, stage_set in enumerate(stage_sets):
+        for i in stage_set:
+            if joined[i] < 0:
+                joined[i] = k
+    return joined
+
+
 class TestTerminationHorizon:
     def test_stay_go_certificate(self, stay_go):
         certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
         assert certificate.m == 2
         assert certificate.min_terminal_cost == 2.0
-        assert certificate.inevitable_at(0) == frozenset({1})
-        assert certificate.last_stage == 1
+        # state 0 never joins, so the search's last stage is m - 1 = 1
+        assert certificate.joined_at.tolist() == [-1, 0]
         assert certificate.values[0] == 1.0
-        final = certificate.values
-        outside = [
-            i for i in range(2)
-            if i not in certificate.inevitable_at(certificate.last_stage)
-        ]
-        for i in outside:
-            assert final[i] + certificate.min_terminal_cost > 2.0
+        assert certificate.values[0] + certificate.min_terminal_cost > 2.0
 
     def test_stage_sets_grow(self, grid, grid_optimal_values):
         certificate = termination_horizon(grid, grid_optimal_values)
-        stages = [
-            certificate.inevitable_at(k) for k in range(certificate.last_stage + 1)
-        ]
-        assert stages[0] == frozenset({grid.terminal})
-        for earlier, later in zip(stages, stages[1:]):
-            assert earlier <= later
+        joined_at = certificate.joined_at
+        assert np.flatnonzero(joined_at == 0).tolist() == [grid.terminal]
+        assert joined_at.max() <= certificate.m
         assert certificate.m < 1_000
 
     def test_everything_inevitable_after_one_stage(self):
@@ -309,12 +311,13 @@ class TestTerminationHorizon:
         values = evaluate_policy(problem, uniform_random_policy(problem))
         certificate = termination_horizon(problem, values)
         assert certificate.m == 1
-        assert certificate.inevitable_at(certificate.last_stage) == frozenset({0, 1, 2})
+        assert certificate.joined_at.tolist() == [1, 1, 0]
 
-    def test_free_delay_hits_the_cap(self):
+    def test_free_delay_hits_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sspbounds.bounds, "DEFAULT_HORIZON_CAP", 50)
         problem = free_delay_instance()
         with pytest.raises(HorizonCapExceeded):
-            termination_horizon(problem, np.zeros(2), max_stages=50)
+            termination_horizon(problem, np.zeros(2))
 
     def test_free_delay_stops_at_the_fixed_point(self):
         problem = free_delay_instance()
@@ -325,14 +328,6 @@ class TestTerminationHorizon:
     def test_requires_uniform_improvability(self, stay_go):
         with pytest.raises(NotUniformlyImprovable):
             termination_horizon(stay_go, np.zeros(2))
-
-    def test_pseudocode_criterion_is_looser(self, stay_go):
-        values = np.array([2.0, 0.0])
-        text_m = termination_horizon(stay_go, values, criterion="text").m
-        pseudo_m = termination_horizon(stay_go, values, criterion="pseudocode").m
-        assert text_m == 2
-        assert pseudo_m == 4
-        assert pseudo_m >= text_m
 
     def test_mixed_sign_costs(self):
         problem = delay_or_exit_instance()
@@ -373,44 +368,42 @@ def horizon_oracle_cases():
 class TestHorizonOracle:
     """The nonzero-transition search matches the dense stage-by-stage recursion."""
 
-    @pytest.mark.parametrize("criterion", ["text", "pseudocode"])
-    def test_matches_dense_recursion(self, criterion):
+    def test_matches_dense_recursion(self):
         for name, problem, values in horizon_oracle_cases():
-            certificate = termination_horizon(problem, values, criterion=criterion)
-            m, stage_sets, stage_values = reference_horizon(problem, values, criterion)
+            certificate = termination_horizon(problem, values)
+            m, stage_sets, stage_values = reference_horizon(problem, values)
             assert certificate.m == m, name
-            assert certificate.last_stage == len(stage_sets) - 1, name
-            for k, expected in enumerate(stage_sets):
-                assert certificate.inevitable_at(k) == expected, (name, k)
+            expected = joining_stages(stage_sets, problem.num_states)
+            assert certificate.joined_at.tolist() == expected, name
             np.testing.assert_allclose(
                 certificate.values, stage_values[-1], rtol=1e-12, atol=0.0, err_msg=name
             )
 
-    @pytest.mark.parametrize("max_stages", [None, 0])
-    def test_same_cap_stage_on_free_delay(self, max_stages):
+    @pytest.mark.parametrize("max_stages", [None, 0])  # None: the default cap
+    def test_same_cap_stage_on_free_delay(self, monkeypatch, max_stages):
         # delay at zero cost, and at a cost of -1 per stage: the first stage gives up
         stage = 1 if max_stages is None else max_stages
+        if max_stages is not None:
+            monkeypatch.setattr(sspbounds.bounds, "DEFAULT_HORIZON_CAP", max_stages)
         for problem, values in (
             (free_delay_instance(), np.zeros(2)),
             (cheap_delay_instance(), np.array([10.0, 0.0])),
         ):
             with pytest.raises(HorizonCapExceeded) as ours:
-                termination_horizon(problem, values, max_stages=max_stages)
+                termination_horizon(problem, values)
             with pytest.raises(HorizonCapExceeded) as reference:
                 reference_horizon(problem, values, max_stages=max_stages)
             assert ours.value.stage == reference.value.stage == stage
 
-    def test_stage_outside_the_search_rejected(self, stay_go):
-        certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
-        with pytest.raises(IndexError):
-            certificate.inevitable_at(certificate.last_stage + 1)
 
+def horizon_outcome(search, problem, values):
+    """m, the joining stages and the stage values as bytes, or the stage the search gave up at.
 
-def horizon_outcome(search, problem, values, criterion, max_stages=None):
-    """m, the joining stages and the stage values as bytes, or the stage the search gave up at."""
-    offset = _kernel_facts(problem).terminal_move()[0] if criterion == "text" else 0.0
+    ``search`` takes the instance, the values and the cheapest terminal cost.
+    """
+    min_terminal_cost = _kernel_facts(problem).terminal_move()[0]
     try:
-        m, joined_at, stage_values = search(problem, values, offset, max_stages)
+        m, joined_at, stage_values = search(problem, values, min_terminal_cost)
     except HorizonCapExceeded as exc:
         return "cap", exc.stage
     return m, joined_at.tobytes(), stage_values.tobytes()
@@ -444,23 +437,27 @@ class TestHorizonStages:
     def cases(self):
         return stagewise_cases()
 
-    @pytest.mark.parametrize("criterion", ["text", "pseudocode"])
-    def test_matches_the_stagewise_search(self, cases, criterion):
+    def test_matches_the_stagewise_search(self, cases):
         outcomes = []
         for name, problem, values in cases:
-            expected = horizon_outcome(stagewise_horizon, problem, values, criterion)
-            assert horizon_outcome(_search_horizon, problem, values, criterion) == expected, name
+            expected = horizon_outcome(stagewise_horizon, problem, values)
+            assert horizon_outcome(_search_horizon, problem, values) == expected, name
             outcomes.append(expected[0])
         # stops, and give-ups where a stage changed nothing, both occur
         assert outcomes.count("cap") >= 1
         assert sum(m != "cap" and m > 5 for m in outcomes) >= 10
 
     @pytest.mark.parametrize("max_stages", [0, 1, 2, 5])
-    def test_same_cap_stage(self, cases, max_stages):
+    def test_same_cap_stage(self, cases, monkeypatch, max_stages):
+        monkeypatch.setattr(sspbounds.bounds, "DEFAULT_HORIZON_CAP", max_stages)
+
+        def capped_stagewise(problem, values, min_terminal_cost):
+            return stagewise_horizon(problem, values, min_terminal_cost, max_stages)
+
         capped = 0
         for name, problem, values in cases:
-            expected = horizon_outcome(stagewise_horizon, problem, values, "text", max_stages)
-            got = horizon_outcome(_search_horizon, problem, values, "text", max_stages)
+            expected = horizon_outcome(capped_stagewise, problem, values)
+            got = horizon_outcome(_search_horizon, problem, values)
             assert got == expected, name
             capped += expected == ("cap", max_stages)
         assert capped >= 3

@@ -242,6 +242,26 @@ class TestSolve:
         assert captured.out == ""
         assert "epsilon" in json.loads(captured.err.strip())["message"]
 
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_max_iters_below_one_exits_two(self, grid_reward_file, capsys, max_iters):
+        code = main(["solve", "--input", grid_reward_file, "--max-iters", max_iters])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValueError", "message": "max_iters must be at least 1"
+        }
+
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_json_values_have_no_negative_zero(self, algorithm, capsys):
+        # the golden file is in reward form and its terminal's value is 0
+        golden = str(Path(__file__).parent / "data" / "gridworld.json")
+        assert main(["solve", "--input", golden, "--algorithm", algorithm, "--format", "json"]) == 0
+        tokens = []
+        json.loads(capsys.readouterr().out, parse_float=lambda s: tokens.append(s) or float(s))
+        assert "-0.0" not in tokens
+
 
 class TestOneBackupPerIterate:
     """A solve backs up each trace row's values once, its start check included."""
@@ -631,6 +651,14 @@ class TestCheck:
         assert certificate["m"] > 0
         # one entry per state, whatever m
         assert len(certificate["joined_at"]) == len(certificate["values"]) == 12
+
+    def test_values_output_is_the_golden_file(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "check.json"
+        argv = ["check", "--input", str(data / "gridworld.json"),
+                "--values", str(data / "gridworld_uniform_values.json"), "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (data / "check_gridworld_uniform.json").read_bytes()
 
     def test_reward_file_certificate_is_in_cost_form(self, grid, tmp_path, capsys):
         golden = str(Path(__file__).parent / "data" / "gridworld.json")

@@ -234,6 +234,16 @@ class TestFromDiscounted:
         with pytest.raises(RowSumViolation):
             from_discounted([[[0.7]]], [[[0.0]]], beta=0.9)
 
+    def test_rows_checked_with_the_validation_tolerance(self):
+        # a row within 1e-9 but not 1e-12 of 1 would build an instance that fails validation
+        transitions = np.array([[[0.5, 0.5]], [[0.5, 0.5 + 1e-10]]])
+        with pytest.raises(RowSumViolation):
+            from_discounted(transitions, np.zeros_like(transitions), beta=0.9)
+
+    def test_rows_normalized_by_division_build_and_validate(self):
+        transitions, costs = random_discounted(np.random.default_rng(4), 300, num_actions=3)
+        validate(from_discounted(transitions, costs, beta=0.99))
+
 
 def written(problem, convention, path) -> str:
     """Save ``problem`` to ``path`` and return the text, checked against the oracle."""
