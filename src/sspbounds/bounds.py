@@ -52,6 +52,7 @@ from .errors import (
 from .properness import (
     AllPoliciesProperReport,
     all_policies_proper,
+    join_stages,
     uniform_random_policy,
 )
 
@@ -241,11 +242,12 @@ def immediate_termination_states(problem: SspProblem) -> np.ndarray:
 
 
 def _certified(residual: float, steps) -> np.ndarray:
-    """residual * steps, where a zero residual certifies J exactly even at N = inf."""
+    """residual * steps, inf on overflow; a zero residual certifies J exactly even at N = inf."""
     steps = np.asarray(steps, dtype=float)
     if residual == 0.0:
         steps = np.where(np.isinf(steps), 0.0, steps)
-    return residual * steps
+    with np.errstate(over="ignore"):
+        return residual * steps
 
 
 def steps_bound_positive_costs(problem: SspProblem, values: np.ndarray) -> np.ndarray:
@@ -269,10 +271,11 @@ def steps_bound_positive_costs(problem: SspProblem, values: np.ndarray) -> np.nd
 def _positive_cost_steps(
     problem: SspProblem, values: np.ndarray, min_terminal_cost: float, min_step_cost: float
 ) -> np.ndarray:
-    """(J(i) - a) / b + 1, clamped to at least 1 at every nonterminal state."""
+    """(J(i) - a) / b + 1, clamped to at least 1 at every nonterminal state; inf on overflow."""
     steps = np.zeros(problem.num_states)
     nt = problem.nonterminal
-    steps[nt] = (values[nt] - min_terminal_cost) / min_step_cost + 1.0
+    with np.errstate(over="ignore"):
+        steps[nt] = (values[nt] - min_terminal_cost) / min_step_cost + 1.0
     low = nt[steps[nt] < 1.0]
     if low.size:
         logger.warning(
@@ -331,7 +334,8 @@ def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCerti
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
     min_terminal_cost, _ = _kernel_facts(problem).terminal_move()
-    m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost)
+    stages = join_stages(problem)
+    m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost, stages)
     return HorizonCertificate(
         m=m,
         joined_at=joined_at,
@@ -341,48 +345,43 @@ def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCerti
 
 
 def _search_horizon(
-    problem: SspProblem, values: np.ndarray, min_terminal_cost: float
+    problem: SspProblem, values: np.ndarray, min_terminal_cost: float, stages: tuple
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The horizon recursion: m, each state's joining stage and the last stage values.
+    """The horizon recursion over the instance's :func:`join_stages` ``stages``.
 
-    The stop comparison adds ``min_terminal_cost`` to the stage values, and
-    the cap is ``DEFAULT_HORIZON_CAP`` as the module holds it at the call.
-    The returned values are stale on the inevitable set.
+    Returns m, the joining stages up to the last stage reached and that
+    stage's values, stale on the inevitable set. The stop test adds
+    ``min_terminal_cost``; the cap is ``DEFAULT_HORIZON_CAP`` at the call.
     """
     cap = DEFAULT_HORIZON_CAP
     num_states, num_actions = problem.num_states, problem.num_actions
     view = problem.transitions
-    joined_at = np.full(num_states, -1, dtype=np.int64)
-    joined_at[problem.terminal] = 0
-    frontier = np.array([problem.terminal])
-    risky = np.zeros((num_states, num_actions), dtype=bool)
-    risky_rows = risky.reshape(-1)
+    joined_at, risky_at = stages
+    # a stage without joins has no later ones, so states join at stages 0..last
+    last = int(joined_at.max())
+    outside = np.flatnonzero(joined_at != 0)
     stage_values = np.zeros(num_states)
 
     k = 0
     while True:
-        if frontier.size:
-            outside = np.flatnonzero(joined_at < 0)
+        if k <= last:
             outside_values = values[outside]
         if not outside.size:
             return k, joined_at, stage_values
         if (stage_values[outside] + min_terminal_cost > outside_values).all():
-            return k + 1, joined_at, stage_values
+            return k + 1, np.where(joined_at > k, -1, joined_at), stage_values
         if k >= cap:
             raise HorizonCapExceeded(k)
         k += 1
-        if frontier.size:
-            # Actions are usable at stage k only if they carry no mass into the
-            # stage-(k-1) inevitable set; only the rows entering the states
-            # that joined last can newly lose that, and only then does the
-            # set of usable entries change. Most stages have no such state.
-            risky_rows[view.row[view.entering(frontier)]] = True
-            usable = ~risky[outside]
-            can_avoid = usable.any(axis=1)
-            frontier, staying, usable = outside[~can_avoid], outside[can_avoid], usable[can_avoid]
-            # the staying states' usable rows, ranked in row order, and their
+        if k <= last + 1:
+            # Rows are usable at stage k if they carry no mass into the stage-(k-1)
+            # inevitable set, which changes only after stages where states joined.
+            outside = outside[joined_at[outside] != k]
+            usable = risky_at.reshape(num_states, num_actions)[outside]
+            usable = (usable < 0) | (usable > k)
+            # the outside states' usable rows, ranked in row order, and their
             # entries in entry order; each state's rows are consecutive
-            rows = (staying[:, None] * num_actions + np.arange(num_actions))[usable]
+            rows = (outside[:, None] * num_actions + np.arange(num_actions))[usable]
             rank = np.full(num_states * num_actions, -1, dtype=np.int64)
             rank[rows] = np.arange(rows.size)
             entry_rank = rank[view.row]
@@ -392,15 +391,14 @@ def _search_horizon(
             per_state = usable.sum(axis=1)
             starts = np.cumsum(per_state) - per_state
         new_values = stage_values.copy()
-        if staying.size:
+        if outside.size:
             backed = np.bincount(entry_rank, prob * (cost + stage_values[to]), minlength=rows.size)
-            new_values[staying] = np.minimum.reduceat(backed, starts)
-        if not frontier.size and (new_values <= stage_values).all():
+            new_values[outside] = np.minimum.reduceat(backed, starts)
+        if k > last and (new_values <= stage_values).all():
             # With no join the usable entries stay fixed, and the stage
             # operator is monotone, in floating point too: no later stage
             # raises a value, so the stop test that just failed fails forever.
             raise HorizonCapExceeded(k)
-        joined_at[frontier] = k
         stage_values = new_values
 
 
@@ -465,22 +463,23 @@ class BoundsContext:
     whose ingredients of that procedure are known to exist: the override
     mask, the counted states, and a and b for positive-cost or a, p_t and
     p_n for general. ``all_proper_steps`` holds the companion solve of
-    all-proper. Per iterate, positive-cost and all-proper then cost O(S);
-    general runs the horizon search, O(nnz) per stage, for each J, on the
-    instance's nonzero-transition view.
+    all-proper and ``stages`` the :func:`join_stages` of general. Per
+    iterate, positive-cost and all-proper then cost O(S); general runs the
+    horizon search, O(nnz) per stage, for each J.
     """
 
     problem: SspProblem
     method: str
     facts: KernelFacts
     all_proper_steps: np.ndarray | None = None
+    stages: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def for_problem(cls, problem: SspProblem, method: str = "auto") -> BoundsContext:
         """Resolve the method; raises when its ingredients do not exist."""
         facts = _kernel_facts(problem)
         resolved, proper_report = _resolve(problem, method, facts)
-        all_proper_steps = None
+        all_proper_steps = stages = None
         # called for their errors only: the context reads the fields
         if resolved == "positive-cost":
             facts.positive_cost()
@@ -488,7 +487,8 @@ class BoundsContext:
             all_proper_steps = steps_bound_all_proper(problem, proper_report)
         else:
             facts.terminal_move()
-        return cls(problem, resolved, facts, all_proper_steps)
+            stages = join_stages(problem)
+        return cls(problem, resolved, facts, all_proper_steps, stages)
 
     def steps(self, values: np.ndarray) -> np.ndarray:
         """Per-state steps bound of a uniformly improvable J, overrides applied.
@@ -504,7 +504,7 @@ class BoundsContext:
         elif self.method == "all-proper":
             steps = self.all_proper_steps.copy()
         else:
-            m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost)
+            m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost, self.stages)
             steps = _horizon_steps(self.problem, facts, m)
         steps[facts.overridden] = 1.0
         return steps

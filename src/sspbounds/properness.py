@@ -118,33 +118,45 @@ def is_proper(problem: SspProblem, policy: Policy) -> ProperCheckReport:
     return ProperCheckReport(True, (), max(1, int(dist.max())), float(path_prob.min()))
 
 
+def join_stages(problem: SspProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The stages ``(joined_at, risky_at)`` of the sets no policy can keep avoiding.
+
+    Stage 0's set is the terminal; stage k adds every state all of whose
+    (state, action) rows have an entry into the stage-(k-1) set.
+    ``joined_at[i]`` is that k for state i, ``risky_at[r]`` the first
+    stage at which row r has such an entry, and both are -1 where that
+    never happens. Each stored entry is looked at once, when its target
+    joins, so the search costs O(nnz).
+    """
+    n, num_actions = problem.num_states, problem.num_actions
+    view = problem.transitions
+    joined_at = np.full(n, -1, dtype=np.int64)
+    joined_at[problem.terminal] = 0
+    risky_at = np.full(n * num_actions, -1, dtype=np.int64)
+    safe_rows = np.full(n, num_actions, dtype=np.int64)
+    frontier, stage = np.array([problem.terminal]), 0
+    while frontier.size:
+        stage += 1
+        rows = distinct(view.row[view.entering(frontier)])
+        rows = rows[risky_at[rows] < 0]
+        risky_at[rows] = stage
+        states = rows // num_actions
+        np.subtract.at(safe_rows, states, 1)
+        frontier = distinct(states[(safe_rows[states] == 0) & (joined_at[states] < 0)])
+        joined_at[frontier] = stage
+    return joined_at, risky_at
+
+
 def all_policies_proper(problem: SspProblem) -> AllPoliciesProperReport:
     """Decide whether every policy of the instance is proper.
 
-    Iteratively shrinks the candidate set C: a state survives while it has
-    some action whose positive-probability successors all lie in C. The
-    fixed point is the largest terminal-avoiding set; it is empty if and
-    only if all policies are proper.
+    The states that never join the :func:`join_stages` sets form the
+    largest terminal-avoiding set: each keeps an action that never risks
+    entering a joined state. It is empty if and only if all policies are
+    proper.
     """
-    n, t = problem.num_states, problem.terminal
-    view = problem.transitions
-    in_c = np.ones(n, dtype=bool)
-    in_c[t] = False
-    while True:
-        # entries leaving C per (state, action); an action is "safe" when none does
-        leaving = np.bincount(view.row, ~in_c[view.to], minlength=n * problem.num_actions)
-        safe_action = leaving.reshape(n, problem.num_actions) == 0.0
-        keep = in_c & safe_action.any(axis=1)
-        if (keep == in_c).all():
-            break
-        in_c = keep
-
-    witness_states = tuple(int(i) for i in np.nonzero(in_c)[0])
-    witness_actions = {
-        i: int(np.argmax(safe_action[i])) for i in witness_states
-    }
-    return AllPoliciesProperReport(
-        all_proper=not witness_states,
-        witness_states=witness_states,
-        witness_actions=witness_actions,
-    )
+    joined_at, risky_at = join_stages(problem)
+    safe_action = risky_at.reshape(problem.num_states, problem.num_actions) < 0
+    witness_states = tuple(int(i) for i in np.nonzero(joined_at < 0)[0])
+    witness_actions = {i: int(np.argmax(safe_action[i])) for i in witness_states}
+    return AllPoliciesProperReport(not witness_states, witness_states, witness_actions)

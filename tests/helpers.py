@@ -145,15 +145,15 @@ def lazy_chain_instance(length=110, advance=2.0**-10):
     Each step costs 1, so J(i) = (i + 1) / advance exactly (TJ = J).
     Returns the instance and that J.
     """
-    n = length + 1
-    prob = np.zeros((n, 1, n))
-    for i in range(length):
-        prob[i, 0, i] = 1.0 - advance
-        prob[i, 0, i - 1 if i else length] = advance
-    prob[length, 0, length] = 1.0
-    cost = np.where(prob > 0.0, 1.0, 0.0)
-    cost[length] = 0.0
-    problem = SspProblem(num_states=n, num_actions=1, terminal=length, prob=prob, cost=cost)
+    states = np.arange(length)
+    view = Transitions.from_entries(
+        length + 1,
+        np.concatenate((states, states, [length])),
+        np.concatenate((states, np.where(states > 0, states - 1, length), [length])),
+        np.concatenate((np.full(length, 1.0 - advance), np.full(length, advance), [1.0])),
+        np.concatenate((np.ones(2 * length), [0.0])),
+    )
+    problem = SspProblem(length + 1, 1, length, transitions=view)
     return problem, np.append(np.arange(1, length + 1) / advance, 0.0)
 
 
@@ -520,6 +520,28 @@ def reference_all_policies_proper(problem: SspProblem) -> AllPoliciesProperRepor
         witness_states=witness_states,
         witness_actions={i: int(np.argmax(safe_action[i])) for i in witness_states},
     )
+
+
+def reference_join_stages(problem: SspProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``(joined_at, risky_at)`` of ``properness.join_stages`` on the dense tensors.
+
+    One S x A x S contraction per stage: a row turns risky at the first
+    stage at which it puts mass on the set of the stage before, and a state
+    joins at the stage by which all of its rows are risky.
+    """
+    prob, _ = dense(problem)
+    joined_at = np.full(problem.num_states, -1, dtype=np.int64)
+    joined_at[problem.terminal] = 0
+    risky_at = np.full((problem.num_states, problem.num_actions), -1, dtype=np.int64)
+    stage = 0
+    while True:
+        stage += 1
+        mass_into = np.einsum("suj,j->su", prob, (joined_at >= 0).astype(float))
+        risky_at[(mass_into > 0.0) & (risky_at < 0)] = stage
+        joining = (joined_at < 0) & (risky_at > 0).all(axis=1)
+        if not joining.any():
+            return joined_at, risky_at.reshape(-1)
+        joined_at[joining] = stage
 
 
 def reference_kernel_facts(problem: SspProblem) -> dict:

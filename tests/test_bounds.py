@@ -25,6 +25,7 @@ from helpers import (
     reference_all_policies_proper,
     reference_horizon,
     reference_is_proper,
+    reference_join_stages,
     reference_kernel_facts,
     stagewise_horizon,
     stay_or_go_instance,
@@ -55,6 +56,7 @@ from sspbounds import (
 )
 import sspbounds.bounds
 from sspbounds.bounds import _kernel_facts, _search_horizon
+from sspbounds.properness import join_stages
 from sspbounds.errors import (
     HorizonCapExceeded,
     NonpositiveCost,
@@ -149,6 +151,19 @@ class TestPerStateAndGlobal:
         report = compute_bounds_report(stay_go, np.array([2.0, 0.0]))
         assert np.array_equal(report.per_state_bound, [0, 0])
         assert report.global_bound == 0.0
+
+    def test_overflowing_product_is_inf(self):
+        # residual 1e300 times N(0) = 1e300 overflows: the vacuous bound, not a warning
+        prob = np.zeros((3, 2, 3))
+        prob[:, :, 2] = 1.0
+        prob[0, 1] = prob[1, 1] = 0.0
+        prob[0, 1, 1] = prob[1, 1, 0] = 1.0
+        cost = np.zeros_like(prob)
+        cost[0, 0, 2], cost[0, 1, 1], cost[1, 0, 2], cost[1, 1, 0] = 1e300, 1e290, 1.0, 1e290
+        problem = SspProblem(num_states=3, num_actions=2, terminal=2, prob=prob, cost=cost)
+        report = compute_bounds_report(problem, np.array([1e300, 1.0, 0.0]))
+        assert report.method == "positive-cost"
+        assert report.global_bound == math.inf
 
     def test_requires_uniform_improvability(self, stay_go):
         with pytest.raises(NotUniformlyImprovable):
@@ -409,6 +424,11 @@ def horizon_outcome(search, problem, values):
     return m, joined_at.tobytes(), stage_values.tobytes()
 
 
+def search_horizon(problem, values, min_terminal_cost):
+    """``bounds._search_horizon`` on the instance's own join stages."""
+    return _search_horizon(problem, values, min_terminal_cost, join_stages(problem))
+
+
 def stagewise_cases():
     """(name, problem, values) triples: the seeded families, the small instances and open grids."""
     cases = [
@@ -441,7 +461,7 @@ class TestHorizonStages:
         outcomes = []
         for name, problem, values in cases:
             expected = horizon_outcome(stagewise_horizon, problem, values)
-            assert horizon_outcome(_search_horizon, problem, values) == expected, name
+            assert horizon_outcome(search_horizon, problem, values) == expected, name
             outcomes.append(expected[0])
         # stops, and give-ups where a stage changed nothing, both occur
         assert outcomes.count("cap") >= 1
@@ -457,7 +477,7 @@ class TestHorizonStages:
         capped = 0
         for name, problem, values in cases:
             expected = horizon_outcome(capped_stagewise, problem, values)
-            got = horizon_outcome(_search_horizon, problem, values)
+            got = horizon_outcome(search_horizon, problem, values)
             assert got == expected, name
             capped += expected == ("cap", max_stages)
         assert capped >= 3
@@ -501,6 +521,14 @@ class TestKernelFactsOracle:
     def test_all_policies_proper_verdict_and_witness(self):
         for name, problem in kernel_oracle_cases():
             assert all_policies_proper(problem) == reference_all_policies_proper(problem), name
+
+    def test_join_stages(self):
+        cases = kernel_oracle_cases() + [(name, problem) for name, problem, _ in stagewise_cases()]
+        for name, problem in cases:
+            joined_at, risky_at = join_stages(problem)
+            expected_joined_at, expected_risky_at = reference_join_stages(problem)
+            assert joined_at.tolist() == expected_joined_at.tolist(), name
+            assert risky_at.tolist() == expected_risky_at.tolist(), name
 
 
 class TestKernelOracle:

@@ -262,6 +262,25 @@ class TestSolve:
         json.loads(capsys.readouterr().out, parse_float=lambda s: tokens.append(s) or float(s))
         assert "-0.0" not in tokens
 
+    @pytest.mark.parametrize("algorithm", ["vi", "pi"])
+    def test_overflowing_closed_form_is_inf(self, tmp_path, capsys, algorithm):
+        # state 0 exits at cost 1 or steps to state 1 at cost 1e-300; state 1
+        # exits at cost 1e300, so (J(i) - a) / b overflows on row 0
+        prob = np.zeros((3, 2, 3))
+        prob[:, :, 2] = 1.0
+        prob[0, 1] = [0.0, 1.0, 0.0]
+        cost = np.zeros_like(prob)
+        cost[0, 0, 2], cost[0, 1, 1], cost[1, :, 2] = 1.0, 1e-300, 1e300
+        path = tmp_path / "overflow.json"
+        save_problem(SspProblem(3, 2, 2, prob=prob, cost=cost), path)
+        code = main(
+            ["solve", "--input", str(path), "--algorithm", algorithm, "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["trace"][0]["m"] == "inf"
+
 
 class TestOneBackupPerIterate:
     """A solve backs up each trace row's values once, its start check included."""

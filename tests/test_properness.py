@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from helpers import dense, monte_carlo_steps, random_proper_mixed_ssp
+from helpers import dense, lazy_chain_instance, monte_carlo_steps, random_proper_mixed_ssp
 from sspbounds import (
     DeterministicPolicy,
     all_policies_proper,
@@ -11,8 +11,11 @@ from sspbounds import (
     greedy_policy,
     is_proper,
     is_uniformly_improvable,
+    save_problem,
     uniform_random_policy,
 )
+from sspbounds.cli import main
+from sspbounds.core import Transitions
 
 
 class TestUniformRandomPolicy:
@@ -106,6 +109,45 @@ class TestAllPoliciesProper:
         for state, action in report.witness_actions.items():
             mass_inside = dense(grid).prob[state, action, list(report.witness_states)].sum()
             assert mass_inside == 1.0
+
+
+class TestDeepChain:
+    """The join stages take each stored entry once, however many stages deep."""
+
+    def test_lazy_chain_kernel(self):
+        # the chain as the dense arrays that built it before
+        length, advance = 110, 2.0**-10
+        n = length + 1
+        prob = np.zeros((n, 1, n))
+        for i in range(length):
+            prob[i, 0, i] = 1.0 - advance
+            prob[i, 0, i - 1 if i else length] = advance
+        prob[length, 0, length] = 1.0
+        cost = np.where(prob > 0.0, 1.0, 0.0)
+        cost[length] = 0.0
+        expected = Transitions.from_dense(n, 1, prob, cost)
+        problem, _ = lazy_chain_instance()
+        assert (problem.num_states, problem.num_actions, problem.terminal) == (n, 1, length)
+        for name in ("row", "to", "prob", "cost"):
+            assert np.array_equal(getattr(problem.transitions, name), getattr(expected, name))
+
+    def test_one_pass_over_the_entries(self, monkeypatch, tmp_path, capsys):
+        problem, _ = lazy_chain_instance(10_000)
+        entered = []
+        original = Transitions.entering
+
+        def counted(view, states):
+            entries = original(view, states)
+            entered.append(entries.size)
+            return entries
+
+        monkeypatch.setattr(Transitions, "entering", counted)
+        assert all_policies_proper(problem).all_proper
+        assert sum(entered) == problem.transitions.row.size
+        path = tmp_path / "chain.json"
+        save_problem(problem, path)
+        assert main(["check", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_policies_proper"]["all_policies_proper"]
 
 
 class TestGreedyFromImprovableValues:
