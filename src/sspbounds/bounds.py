@@ -15,7 +15,8 @@ Three procedures produce N(i):
 
 ``BoundsContext`` resolves the procedure for an instance and computes the
 ingredients of N that do not depend on J once; it then gives the steps
-bound, the per-row trace columns and the full report of any iterate.
+bound and the full report of any iterate, and certifies each trace row as
+a solver makes it, from the row's J, its backup and the backup before it.
 
 Every N covers all policies no costlier than J, the greedy policy of a
 uniformly improvable J among them. With c- <= 0 <= c+ the extremes of
@@ -37,8 +38,6 @@ import numpy as np
 from .core import SspProblem, check_values
 from .dp import (  # bellman_backup stays bound here for code that patches it
     Backup,
-    IterationRecord,
-    IterationTrace,
     bellman_backup,  # noqa: F401
     policy_iteration,
     require_uniformly_improvable,
@@ -334,8 +333,7 @@ def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCerti
     values = check_values(problem, values)
     require_uniformly_improvable(problem, values)
     min_terminal_cost, _ = _kernel_facts(problem).terminal_move()
-    stages = join_stages(problem)
-    m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost, stages)
+    m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost)
     return HorizonCertificate(
         m=m,
         joined_at=joined_at,
@@ -345,9 +343,9 @@ def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCerti
 
 
 def _search_horizon(
-    problem: SspProblem, values: np.ndarray, min_terminal_cost: float, stages: tuple
+    problem: SspProblem, values: np.ndarray, min_terminal_cost: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The horizon recursion over the instance's :func:`join_stages` ``stages``.
+    """The horizon recursion over the instance's :func:`join_stages`.
 
     Returns m, the joining stages up to the last stage reached and that
     stage's values, stale on the inevitable set. The stop test adds
@@ -356,7 +354,7 @@ def _search_horizon(
     cap = DEFAULT_HORIZON_CAP
     num_states, num_actions = problem.num_states, problem.num_actions
     view = problem.transitions
-    joined_at, risky_at = stages
+    joined_at, risky_at = join_stages(problem)
     # a stage without joins has no later ones, so states join at stages 0..last
     last = int(joined_at.max())
     outside = np.flatnonzero(joined_at != 0)
@@ -367,7 +365,7 @@ def _search_horizon(
         if k <= last:
             outside_values = values[outside]
         if not outside.size:
-            return k, joined_at, stage_values
+            return k, joined_at.copy(), stage_values
         if (stage_values[outside] + min_terminal_cost > outside_values).all():
             return k + 1, np.where(joined_at > k, -1, joined_at), stage_values
         if k >= cap:
@@ -463,23 +461,22 @@ class BoundsContext:
     whose ingredients of that procedure are known to exist: the override
     mask, the counted states, and a and b for positive-cost or a, p_t and
     p_n for general. ``all_proper_steps`` holds the companion solve of
-    all-proper and ``stages`` the :func:`join_stages` of general. Per
-    iterate, positive-cost and all-proper then cost O(S); general runs the
-    horizon search, O(nnz) per stage, for each J.
+    all-proper. Per iterate, positive-cost and all-proper then cost O(S);
+    general runs the horizon search, O(nnz) per stage, for each J, over the
+    :func:`join_stages` kept with the instance.
     """
 
     problem: SspProblem
     method: str
     facts: KernelFacts
     all_proper_steps: np.ndarray | None = None
-    stages: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def for_problem(cls, problem: SspProblem, method: str = "auto") -> BoundsContext:
         """Resolve the method; raises when its ingredients do not exist."""
         facts = _kernel_facts(problem)
         resolved, proper_report = _resolve(problem, method, facts)
-        all_proper_steps = stages = None
+        all_proper_steps = None
         # called for their errors only: the context reads the fields
         if resolved == "positive-cost":
             facts.positive_cost()
@@ -487,8 +484,7 @@ class BoundsContext:
             all_proper_steps = steps_bound_all_proper(problem, proper_report)
         else:
             facts.terminal_move()
-            stages = join_stages(problem)
-        return cls(problem, resolved, facts, all_proper_steps, stages)
+        return cls(problem, resolved, facts, all_proper_steps)
 
     def steps(self, values: np.ndarray) -> np.ndarray:
         """Per-state steps bound of a uniformly improvable J, overrides applied.
@@ -504,28 +500,31 @@ class BoundsContext:
         elif self.method == "all-proper":
             steps = self.all_proper_steps.copy()
         else:
-            m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost, self.stages)
+            m, _, _ = _search_horizon(self.problem, values, facts.min_terminal_cost)
             steps = _horizon_steps(self.problem, facts, m)
         steps[facts.overridden] = 1.0
         return steps
 
-    def row(self, record: IterationRecord, improvable: bool, sign: float = 1.0) -> TraceRow:
-        """Trace row of one solver record, given its J's uniform-improvability verdict.
+    def row(
+        self, iteration: int, values: np.ndarray, before: Backup | None, backup: Backup, sign=1.0
+    ) -> TraceRow:
+        """Trace row ``iteration`` of J, as a row function of :func:`sspbounds.dp._iterate`.
 
-        ``sign`` is -1 to report the floor of a reward-form file.
+        ``m`` and ``error`` come from J's own ``backup``, ``residual`` from the backup
+        ``before`` that produced J; ``sign`` -1 reports the floor of a reward-form file.
         """
         counted = self.facts.counted
-        values, residual = record.values, record.residual
+        residual = None if before is None else before.residual
         j_under = float((sign * values[counted]).min()) if counted.any() else 0.0
-        if not improvable:
-            return TraceRow(record.iteration, j_under, None, residual, None)
+        if not backup.improvable:
+            return TraceRow(iteration, j_under, None, residual, None)
         try:
             steps = self.steps(values)
         except HorizonCapExceeded:
-            return TraceRow(record.iteration, j_under, None, residual, None)
+            return TraceRow(iteration, j_under, None, residual, None)
         m = float(steps[counted].max()) if counted.any() else 1.0
         error = None if residual is None else float(_certified(residual, m))
-        return TraceRow(record.iteration, j_under, m, residual, error)
+        return TraceRow(iteration, j_under, m, residual, error)
 
     def report(self, values: np.ndarray) -> BoundsReport:
         """Full bounds report of a uniformly improvable J, from one backup."""
@@ -547,25 +546,6 @@ class BoundsContext:
             overrides=tuple(int(i) for i in np.nonzero(self.facts.overridden)[0]),
             method=self.method if counted.any() else "override",
         )
-
-    def certify(
-        self, trace: IterationTrace, sign: float = 1.0, count: int | None = None
-    ) -> tuple[BoundsReport, list[TraceRow]]:
-        """Report of a solver run's last iterate, plus the first ``count`` rows of its trace.
-
-        Every row by default. Row k's improvability verdict comes from the
-        solver's backup stored in record k + 1; the last row's from the
-        trace's last backup, which the report accepts only for an
-        improvable J.
-        """
-        records = trace.records
-        report = self._report(records[-1].values, trace.last.require_improvable())
-        verdicts = [record.improvable for record in records[1:]] + [True]
-        rows = [
-            self.row(record, improvable, sign)
-            for record, improvable in zip(records[:count], verdicts)
-        ]
-        return report, rows
 
 
 def compute_bounds_report(

@@ -11,6 +11,7 @@ single-line JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,8 +33,8 @@ from .core import (
 from .dp import (
     _policy_iteration,
     _value_iteration,
+    bellman_residual,
     evaluate_policy,
-    policy_iteration,
     require_uniformly_improvable,
     trace_csv,
 )
@@ -98,33 +99,39 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # every bound this command reports relies on a uniformly improvable start
     start = require_uniformly_improvable(problem, initial)
 
+    context = bounds_mod.BoundsContext.for_problem(problem, args.bounds_method)
+    # each row is certified as the solver makes it, so no row keeps its J
+    row = functools.partial(context.row, sign=sign)
+
     # A truncated run is not an error: the final iterate still carries
     # valid bounds, so report what we have and note the truncation.
     truncated = False
     try:
         if args.algorithm == "vi":
             values, trace = _value_iteration(
-                problem, initial, start, args.epsilon, args.max_iters
+                problem, initial, start, args.epsilon, args.max_iters, row
             )
         elif args.init == "uniform-random":
             # `initial` is this policy's evaluation, and `start` its backup
             _, values, trace = _policy_iteration(
-                problem, uniform_random_policy(problem), initial, start, args.max_iters
+                problem, uniform_random_policy(problem), initial, start, args.max_iters, row
             )
         else:
-            _, values, trace = policy_iteration(
-                problem, DeterministicPolicy(actions=start.actions), args.max_iters
+            # row 0 evaluates the start's greedy policy, as policy_iteration does
+            policy = DeterministicPolicy(actions=start.actions)
+            values = evaluate_policy(problem, policy)
+            _, values, trace = _policy_iteration(
+                problem, policy, values, bellman_residual(problem, values), args.max_iters, row
             )
     except MaxItersExceeded as exc:
         values, trace = exc.values, exc.trace
         truncated = True
 
     # the report covers the trace's last iterate, which is `values`
-    context = bounds_mod.BoundsContext.for_problem(problem, args.bounds_method)
-    report, rows = context.certify(trace, sign)
+    report = context._report(values, trace.last.require_improvable())
 
     if args.output_format == "csv":
-        _emit(trace_csv(rows), args.output)
+        _emit(trace_csv(trace.records), args.output)
     else:
         payload = {
             "config": {
@@ -144,7 +151,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "residual": row.residual,
                     "error": bounds_mod.json_number(row.error),
                 }
-                for row in rows
+                for row in trace.records
             ],
             # 0.0 - v, not -v, which turns the terminal's zero into -0.0
             "values": (0.0 - values if convention == "reward" else values).tolist(),

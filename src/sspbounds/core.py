@@ -187,6 +187,15 @@ class SspProblem:
         return np.delete(np.arange(self.num_states), self.terminal)
 
 
+def _kept(problem: SspProblem, key: str, compute):
+    """``compute(problem)``, computed on the first call and kept with the instance at ``key``."""
+    # kept the way functools.cached_property keeps a value on an instance
+    kept = vars(problem)
+    if key not in kept:
+        kept[key] = compute(problem)
+    return kept[key]
+
+
 @dataclass(frozen=True)
 class DeterministicPolicy:
     """One action index per state."""

@@ -20,6 +20,7 @@ from .core import (
     DeterministicPolicy,
     Policy,
     SspProblem,
+    _kept,
     check_policy,
     check_values,
     csr_rows,
@@ -123,11 +124,17 @@ class IterationRecord:
     improvable: bool | None
 
 
+def _record(iteration: int, values: np.ndarray, before: Backup | None, _) -> IterationRecord:
+    """The public solvers' row: J and the verdict of the backup ``before`` that produced it."""
+    residual, improvable = (None, None) if before is None else (before.residual, before.improvable)
+    return IterationRecord(iteration, values, residual, improvable)
+
+
 @dataclass
 class IterationTrace:
-    """A solver's rows, and ``last``, the backup of the last row's values."""
+    """A solver's rows, as its row function made them, and ``last``, the last row's backup."""
 
-    records: list[IterationRecord]
+    records: list
     last: Backup
 
     def __len__(self) -> int:
@@ -151,7 +158,9 @@ def action_values(problem: SspProblem, values: np.ndarray) -> np.ndarray:
     """Backed-up cost of every (state, action) pair against ``values``."""
     values = check_values(problem, values)
     view, num_rows = problem.transitions, problem.num_states * problem.num_actions
-    q = np.bincount(view.row, view.prob * (view.cost + values[view.to]), minlength=num_rows)
+    # an action value beyond the float range is +inf, which no minimum picks over a finite one
+    with np.errstate(over="ignore"):
+        q = np.bincount(view.row, view.prob * (view.cost + values[view.to]), minlength=num_rows)
     return q.reshape(problem.num_states, problem.num_actions)
 
 
@@ -216,22 +225,22 @@ def require_uniformly_improvable(problem: SspProblem, values: np.ndarray) -> Bac
     return _backup(problem, values).require_improvable()
 
 
-def _iterate(problem, values, backup, step, done, max_iters: int, failure: str):
+def _iterate(problem, values, backup, step, done, max_iters: int, failure: str, row):
     """The solvers' loop: trace rows from row 0's ``values`` and their ``backup``.
 
-    Row k + 1 holds ``step(values, backup)`` of row k and is backed up once
-    here, unless it is row k's own array, which repeats row k and shares its
-    backup. The rows end once ``done(backup)`` holds for the last row; a row
-    past ``max_iters`` raises :class:`MaxItersExceeded` with ``failure`` instead.
+    Row k is ``row(k, values, before, backup)``, ``before`` the backup that made it
+    (None on row 0); row k + 1's values are ``step(values, backup)``, backed up unless
+    they are row k's own array. The rows end once ``done(backup)`` holds for the last
+    row; one past ``max_iters`` raises :class:`MaxItersExceeded` with ``failure``.
     """
-    records = [IterationRecord(0, values, None, None)]
+    records = [row(0, values, None, backup)]
     while not done(backup):
         if len(records) > max_iters:
             raise MaxItersExceeded(failure, values, IterationTrace(records, backup))
-        new = step(values, backup)
-        records.append(IterationRecord(len(records), new, backup.residual, backup.improvable))
+        new, before = step(values, backup), backup
         if new is not values:
             values, backup = new, _backup(problem, new)
+        records.append(row(len(records), values, before, backup))
     return values, IterationTrace(records, backup)
 
 
@@ -253,14 +262,14 @@ def value_iteration(
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     values = check_values(problem, initial_values).copy()
-    return _value_iteration(problem, values, _backup(problem, values), epsilon, max_iters)
+    return _value_iteration(problem, values, _backup(problem, values), epsilon, max_iters, _record)
 
 
-def _value_iteration(problem, values, backup, epsilon: float, max_iters: int):
-    """:func:`value_iteration` from checked ``values`` and their ``backup``."""
+def _value_iteration(problem, values, backup, epsilon: float, max_iters: int, row):
+    """:func:`value_iteration` from checked ``values`` and their ``backup``, rows by ``row``."""
     failure = f"value iteration did not reach residual {epsilon:g} in {max_iters} iterations"
     step, done = (lambda _, backup: backup.backed_up), (lambda backup: backup.residual < epsilon)
-    return _iterate(problem, values, backup, step, done, max_iters, failure)
+    return _iterate(problem, values, backup, step, done, max_iters, failure, row)
 
 
 class _Levels(NamedTuple):
@@ -282,10 +291,7 @@ class _Levels(NamedTuple):
 
 def _levels(problem: SspProblem) -> _Levels | None:
     """The instance's level structure, computed on the first call and kept with it."""
-    # kept the way functools.cached_property keeps a value on an instance
-    if "_levels" not in vars(problem):
-        vars(problem)["_levels"] = _breadth_first_levels(problem)
-    return vars(problem)["_levels"]
+    return _kept(problem, "_levels", _breadth_first_levels)
 
 
 def _breadth_first_levels(problem: SspProblem) -> _Levels | None:
@@ -584,11 +590,12 @@ def policy_iteration(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     values = evaluate_policy(problem, initial_policy)
-    return _policy_iteration(problem, initial_policy, values, _backup(problem, values), max_iters)
+    backup = _backup(problem, values)
+    return _policy_iteration(problem, initial_policy, values, backup, max_iters, _record)
 
 
-def _policy_iteration(problem, policy: Policy, values, backup, max_iters: int):
-    """:func:`policy_iteration` from ``policy``, its evaluation ``values`` and their ``backup``."""
+def _policy_iteration(problem, policy: Policy, values, backup, max_iters: int, row):
+    """:func:`policy_iteration` from ``policy``, its evaluation and its backup; rows by ``row``."""
     # the policy of the last row, once deterministic, and whether that row ends the run
     current = policy if isinstance(policy, DeterministicPolicy) else None
     last = False
@@ -604,5 +611,7 @@ def _policy_iteration(problem, policy: Policy, values, backup, max_iters: int):
         return new_values
 
     failure = f"policy iteration did not converge in {max_iters} improvements"
-    values, trace = _iterate(problem, values, backup, improve, lambda _: last, max_iters, failure)
+    values, trace = _iterate(
+        problem, values, backup, improve, lambda _: last, max_iters, failure, row
+    )
     return current, values, trace

@@ -24,6 +24,7 @@ values and steps bounds under policy iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,24 +255,24 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
     """Reproduce Table 1: per-iteration error-bound statistics in reward form.
 
     Both algorithms start from the uniform random policy's value function.
-    Value iteration reports iterations 0 through 12, policy iteration every
-    iteration until convergence. Each row's residual belongs to the
+    Value iteration reports iterations 0 through 12 of a run to residual
+    1e-9, policy iteration every iteration until convergence. Each row's residual belongs to the
     previous iterate, i.e. to the backup that produced the row.
     """
     initial = uniform_random_policy(problem)
     start_values = evaluate_policy(problem, initial)
     start = dp.require_uniformly_improvable(problem, start_values)
+    row = functools.partial(BoundsContext.for_problem(problem, "positive-cost").row, sign=-1.0)
     if algorithm == "vi":
-        _, trace = dp._value_iteration(problem, start_values, start, 1e-9, 10_000)
-        reported = 13
-    elif algorithm == "pi":
-        _, _, trace = dp._policy_iteration(problem, initial, start_values, start, 1_000)
-        reported = None
-    else:
-        raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
-    context = BoundsContext.for_problem(problem, "positive-cost")
-    _, rows = context.certify(trace, sign=-1.0, count=reported)
-    return rows
+        try:
+            _, trace = dp._value_iteration(problem, start_values, start, 1e-9, 12, row)
+        except dp.MaxItersExceeded as exc:
+            trace = exc.trace
+        return trace.records
+    if algorithm == "pi":
+        _, _, trace = dp._policy_iteration(problem, initial, start_values, start, 1_000, row)
+        return trace.records
+    raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
 
 
 def run_table2(problem: SspProblem) -> list[Table2Row]:

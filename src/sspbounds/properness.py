@@ -17,6 +17,7 @@ from .core import (
     Policy,
     SspProblem,
     StochasticPolicy,
+    _kept,
     distinct,
     policy_entry_probs,
 )
@@ -126,8 +127,14 @@ def join_stages(problem: SspProblem) -> tuple[np.ndarray, np.ndarray]:
     ``joined_at[i]`` is that k for state i, ``risky_at[r]`` the first
     stage at which row r has such an entry, and both are -1 where that
     never happens. Each stored entry is looked at once, when its target
-    joins, so the search costs O(nnz).
+    joins, so the search costs O(nnz); it runs on the first call, and the
+    read-only arrays are kept with the instance.
     """
+    return _kept(problem, "_join_stages", _join_stages)
+
+
+def _join_stages(problem: SspProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The search of :func:`join_stages`, which keeps its result."""
     n, num_actions = problem.num_states, problem.num_actions
     view = problem.transitions
     joined_at = np.full(n, -1, dtype=np.int64)
@@ -144,6 +151,8 @@ def join_stages(problem: SspProblem) -> tuple[np.ndarray, np.ndarray]:
         np.subtract.at(safe_rows, states, 1)
         frontier = distinct(states[(safe_rows[states] == 0) & (joined_at[states] < 0)])
         joined_at[frontier] = stage
+    joined_at.setflags(write=False)
+    risky_at.setflags(write=False)
     return joined_at, risky_at
 
 

@@ -424,11 +424,6 @@ def horizon_outcome(search, problem, values):
     return m, joined_at.tobytes(), stage_values.tobytes()
 
 
-def search_horizon(problem, values, min_terminal_cost):
-    """``bounds._search_horizon`` on the instance's own join stages."""
-    return _search_horizon(problem, values, min_terminal_cost, join_stages(problem))
-
-
 def stagewise_cases():
     """(name, problem, values) triples: the seeded families, the small instances and open grids."""
     cases = [
@@ -461,7 +456,7 @@ class TestHorizonStages:
         outcomes = []
         for name, problem, values in cases:
             expected = horizon_outcome(stagewise_horizon, problem, values)
-            assert horizon_outcome(search_horizon, problem, values) == expected, name
+            assert horizon_outcome(_search_horizon, problem, values) == expected, name
             outcomes.append(expected[0])
         # stops, and give-ups where a stage changed nothing, both occur
         assert outcomes.count("cap") >= 1
@@ -477,7 +472,7 @@ class TestHorizonStages:
         capped = 0
         for name, problem, values in cases:
             expected = horizon_outcome(capped_stagewise, problem, values)
-            got = horizon_outcome(search_horizon, problem, values)
+            got = horizon_outcome(_search_horizon, problem, values)
             assert got == expected, name
             capped += expected == ("cap", max_stages)
         assert capped >= 3

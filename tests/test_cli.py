@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +183,14 @@ class TestSolve:
         lines = out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == pytest.approx(-1.603, abs=0.01)
 
-    @pytest.mark.parametrize("start", ["uniform", "file"])
+    # "general" starts from the uniform policy too, with the horizon bound on every row
+    @pytest.mark.parametrize("start", ["uniform", "file", "general"])
     @pytest.mark.parametrize("algorithm", ["vi", "pi"])
     def test_csv_is_the_golden_file(self, tmp_path, algorithm, start):
         golden = Path(__file__).parent / "data" / "gridworld.json"
         argv = ["solve", "--input", str(golden), "--algorithm", algorithm, "--format", "csv"]
+        if start == "general":
+            argv += ["--bounds", "general"]
         if start == "file":
             problem, _ = load_problem(golden)
             uniform = evaluate_policy(problem, uniform_random_policy(problem))
@@ -281,6 +285,25 @@ class TestSolve:
         assert captured.err == ""
         assert json.loads(captured.out)["trace"][0]["m"] == "inf"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--algorithm", "vi"], ["solve", "--algorithm", "pi"], ["check"]],
+        ids=["solve-vi", "solve-pi", "check"],
+    )
+    def test_overflowing_backup_is_silent(self, tmp_path, capsys, argv):
+        # state 0 exits at cost 1e308, or stays or exits with probability 1/2
+        # at cost 1e308 each, which backs up J(0) = 1e308 past the float range
+        view = sspbounds.core.Transitions.from_entries(
+            2, np.array([0, 1, 1, 2, 3]), np.array([1, 0, 1, 1, 1]),
+            np.array([1.0, 0.5, 0.5, 1.0, 1.0]), np.array([1e308, 1e308, 1e308, 0.0, 0.0]),
+        )
+        path = tmp_path / "overflow.json"
+        save_problem(SspProblem(2, 2, 1, transitions=view), path)
+        values = values_file(tmp_path, "values.json", [1e308, 0.0])
+        init = ["--values" if argv == ["check"] else "--init", values]
+        assert main([*argv, "--input", str(path), *init]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestOneBackupPerIterate:
     """A solve backs up each trace row's values once, its start check included."""
@@ -321,6 +344,27 @@ class TestOneBackupPerIterate:
         # values file starts from the evaluation of their greedy policy
         start_check = int(algorithm == "pi" and start == "file")
         assert len(backups) == len(trace) - 1 + last_row + start_check
+
+
+class TestRowsCertifiedAsMade:
+    """A solve certifies each trace row as the solver makes it, and keeps no row's values."""
+
+    def test_no_row_keeps_its_values(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "grid.json"
+        save_problem(open_grid(6), path)
+        made = []
+        row = sspbounds.bounds.BoundsContext.row
+
+        def watched(context, iteration, values, *args, **kwargs):
+            made.append(weakref.ref(values))
+            # the command holds its start J, row 0, and the start's backup,
+            # whose TJ is row 1; every later row is gone once the next is made
+            assert all(ref() is None for ref in made[2:-1])
+            return row(context, iteration, values, *args, **kwargs)
+
+        monkeypatch.setattr(sspbounds.bounds.BoundsContext, "row", watched)
+        assert main(["solve", "--input", str(path), "--algorithm", "vi", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["trace"]) == len(made) > 4
 
 
 class TestValuesFile:

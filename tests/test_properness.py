@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from helpers import dense, lazy_chain_instance, monte_carlo_steps, random_proper_mixed_ssp
+from helpers import (
+    delay_or_exit_instance,
+    dense,
+    lazy_chain_instance,
+    monte_carlo_steps,
+    random_proper_mixed_ssp,
+)
 from sspbounds import (
     DeterministicPolicy,
     all_policies_proper,
@@ -14,8 +22,24 @@ from sspbounds import (
     save_problem,
     uniform_random_policy,
 )
+from sspbounds.bounds import BoundsContext
 from sspbounds.cli import main
 from sspbounds.core import Transitions
+
+
+@pytest.fixture
+def entered(monkeypatch):
+    """Sizes of the batches of entries that ``Transitions.entering`` hands out."""
+    sizes = []
+    original = Transitions.entering
+
+    def counted(view, states):
+        entries = original(view, states)
+        sizes.append(entries.size)
+        return entries
+
+    monkeypatch.setattr(Transitions, "entering", counted)
+    return sizes
 
 
 class TestUniformRandomPolicy:
@@ -131,23 +155,39 @@ class TestDeepChain:
         for name in ("row", "to", "prob", "cost"):
             assert np.array_equal(getattr(problem.transitions, name), getattr(expected, name))
 
-    def test_one_pass_over_the_entries(self, monkeypatch, tmp_path, capsys):
+    def test_one_pass_over_the_entries(self, entered, tmp_path, capsys):
         problem, _ = lazy_chain_instance(10_000)
-        entered = []
-        original = Transitions.entering
-
-        def counted(view, states):
-            entries = original(view, states)
-            entered.append(entries.size)
-            return entries
-
-        monkeypatch.setattr(Transitions, "entering", counted)
         assert all_policies_proper(problem).all_proper
         assert sum(entered) == problem.transitions.row.size
         path = tmp_path / "chain.json"
         save_problem(problem, path)
         assert main(["check", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["all_policies_proper"]["all_policies_proper"]
+
+
+class TestOneJoinPass:
+    """The join stages are searched once per instance, however many readers they have."""
+
+    def test_check_with_values(self, entered, capsys):
+        data = Path(__file__).parent / "data"
+        argv = ["check", "--input", str(data / "gridworld.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        alone = sum(entered)
+        entered.clear()
+        assert main([*argv, "--values", str(data / "gridworld_uniform_values.json")]) == 0
+        assert "horizon_certificate" in json.loads(capsys.readouterr().out)
+        # the horizon search reads the stages that all_policies_proper searched
+        assert sum(entered) == alone
+
+    def test_general_context(self, entered):
+        all_policies_proper(delay_or_exit_instance())
+        once = sum(entered)
+        entered.clear()
+        context = BoundsContext.for_problem(delay_or_exit_instance())
+        assert context.method == "general"
+        assert context.steps(np.array([0.75, 1.0, 0.0]))[0] < np.inf
+        assert sum(entered) == once > 0
 
 
 class TestGreedyFromImprovableValues:
