@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SspProblem, check_values
+from .core import SspProblem, Transitions, check_values
 from .dp import (  # bellman_backup stays bound here for code that patches it
     Backup,
     bellman_backup,  # noqa: F401
@@ -304,7 +304,9 @@ def steps_bound_all_proper(
         raise NotAllPoliciesProper(report.witness_states, report.witness_actions)
     view = problem.transitions
     steps_cost = np.where(view.to != problem.terminal, -1.0, 0.0)
-    companion = replace(problem, transitions=replace(view, cost=steps_cost))
+    # the companion shares the instance's read-only columns, and adds its costs
+    kernel = Transitions._adopt(view.num_states, view.row, view.to, view.prob, steps_cost)
+    companion = replace(problem, transitions=kernel)
     _, worst_values, _ = policy_iteration(companion, uniform_random_policy(companion))
     steps = np.zeros(problem.num_states)
     nt = problem.nonterminal
@@ -388,16 +390,95 @@ def _search_horizon(
             prob, cost = view.prob[kept], view.cost[kept]
             per_state = usable.sum(axis=1)
             starts = np.cumsum(per_state) - per_state
+            if k == last + 1:
+                # the rows no longer change: what the give-up below reads of them
+                fixed_rows = _usable_rows(rows, starts, entry_rank, to, prob, cost, num_actions)
         new_values = stage_values.copy()
         if outside.size:
             backed = np.bincount(entry_rank, prob * (cost + stage_values[to]), minlength=rows.size)
             new_values[outside] = np.minimum.reduceat(backed, starts)
-        if k > last and (new_values <= stage_values).all():
-            # With no join the usable entries stay fixed, and the stage
-            # operator is monotone, in floating point too: no later stage
-            # raises a value, so the stop test that just failed fails forever.
-            raise HorizonCapExceeded(k)
+        if k > last:
+            if (new_values <= stage_values).all():
+                # With no join the usable entries stay fixed, and the stage
+                # operator is monotone, in floating point too: no later stage
+                # raises a value, so the stop test that just failed fails forever.
+                raise HorizonCapExceeded(k)
+            # tested 1, 2, 4, ... stages past the last join: a search it cannot
+            # cut short then pays for about 20 tests, whatever its length
+            past = k - last
+            if past & (past - 1) == 0 and _runs_to_the_cap(
+                cap - k, new_values[outside], stage_values[outside], min_terminal_cost,
+                outside_values, fixed_rows,
+            ):
+                raise HorizonCapExceeded(cap)
         stage_values = new_values
+
+
+def _usable_rows(rows, starts, entry_rank, to, prob, cost, num_actions) -> tuple:
+    """Per outside state, over its usable ``rows`` from ``starts`` on: the smallest and largest
+    row sum, the most entries in a row, the largest sum of p * max(-c, 0) in a row, and
+    whether every entry of every row leads back to the state itself.
+    """
+    n = rows.size
+    sums = np.bincount(entry_rank, prob, minlength=n)
+    strays = np.bincount(entry_rank, to != rows[entry_rank] // num_actions, minlength=n)
+    return (
+        np.minimum.reduceat(sums, starts),
+        np.maximum.reduceat(sums, starts),
+        np.maximum.reduceat(np.bincount(entry_rank, minlength=n), starts),
+        np.maximum.reduceat(
+            np.bincount(entry_rank, prob * np.maximum(-cost, 0.0), minlength=n), starts
+        ),
+        np.add.reduceat(strays, starts) == 0,
+    )
+
+
+def _runs_to_the_cap(left, new, old, offset, values, usable_rows) -> bool:
+    """Whether the horizon search must run all ``left`` stages to the cap and give up there.
+
+    ``new`` and ``old`` are the outside states' values at this stage and the
+    one before, and ``usable_rows`` the :func:`_usable_rows` of each. Past
+    the last join those rows are fixed, and the stage operator, a minimum of
+    averages over them, is monotone: when its argument rises by c >= 0 at
+    every state, each value rises by at least c times the smallest row sum s
+    and at most c times the largest. This holds on any set of states that
+    no usable row leaves: all outside states, or one whose rows all loop on
+    it. Over the stages left, such a set's values therefore keep rising when
+    this stage raised them all by more than the rounding can take back, and
+    none rises by more than s**left times this stage's largest rise plus the
+    rounding, bounded outward. The search reaches the cap when some value
+    keeps rising, so that every stage raises one, and some value stays at
+    most J - a, ``values`` - ``offset``, so that the stop test always fails.
+    """
+    low, high, width, debt, closed = usable_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        change = new - old
+        # the second condition without its margins, which only raise the reach
+        if not (new + offset + left * np.maximum(change, 0.0) <= values).any():
+            return False
+
+        def over_set(own, everyone):
+            """Each state's bound over its set: the state alone when closed, else all."""
+            return np.where(closed, own, everyone)
+
+        fall, rise = over_set(change, change.min()), over_set(change, change.max())
+        top = np.maximum(over_set(high, high.max()), 1.0)
+        growth = top**left
+        shrink = np.minimum(over_set(low, low.min()), 1.0) ** left
+        # A stage sums at most `width` products p (c + V) a row, and rounds the
+        # sum by a few ulps of sum p |c + V| per product: that is the row's
+        # value, at most `size` in magnitude for a row the minimum picks, plus
+        # twice its negative terms, at most `owed`. `drift` bounds the
+        # rounding over the stages left.
+        eps, moved = np.finfo(float).eps, left * np.maximum(rise, -fall) * growth
+        size = over_set(np.abs(new), np.abs(new).max()) + moved
+        below = over_set(np.maximum(-new, 0.0), max(-float(new.min()), 0.0)) + moved
+        owed = over_set(debt, debt.max()) + top * below
+        drift = 8 * (over_set(width, width.max()) + 2) * eps * left * growth * (size + 2 * owed)
+        # and the sums that make the reach, and the stop test's, round once each
+        reach = new + offset + left * np.maximum(rise, 0.0) * growth + drift
+        reach += 4 * eps * (abs(offset) + size + drift)
+        return bool((fall * shrink > drift).any() and (reach <= values).any())
 
 
 def steps_bound_from_horizon(

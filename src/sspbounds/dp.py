@@ -110,7 +110,7 @@ class Backup(NamedTuple):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One solver iteration: the value function and how it was reached.
+    """One solver iteration, in scalars: no row keeps its J, the solvers return the last.
 
     ``residual`` and ``improvable`` describe the *previous* iterate, as seen
     by the backup that produced this row; they are None on row 0.
@@ -119,15 +119,14 @@ class IterationRecord:
     """
 
     iteration: int
-    values: np.ndarray
     residual: float | None
     improvable: bool | None
 
 
-def _record(iteration: int, values: np.ndarray, before: Backup | None, _) -> IterationRecord:
-    """The public solvers' row: J and the verdict of the backup ``before`` that produced it."""
+def _record(iteration: int, _values, before: Backup | None, _backup) -> IterationRecord:
+    """The public solvers' row: the verdict of the backup ``before`` that produced it."""
     residual, improvable = (None, None) if before is None else (before.residual, before.improvable)
-    return IterationRecord(iteration, values, residual, improvable)
+    return IterationRecord(iteration, residual, improvable)
 
 
 @dataclass
@@ -583,9 +582,9 @@ def policy_iteration(
     Stops when the improved policy repeats or two successive value
     functions agree within 1e-12 in max norm. Starting from a proper
     policy, every iterate is proper and its value is elementwise no worse
-    than its predecessor's. Trace row 0 holds the initial policy's
-    evaluation; row k holds the k-th improved policy's evaluation
-    together with the Bellman residual of row k-1's values.
+    than its predecessor's. Trace row 0 stands for the initial policy's
+    evaluation; row k for the k-th improved policy's evaluation, and holds
+    the Bellman residual of row k-1's values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")

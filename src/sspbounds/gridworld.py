@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .bounds import BoundsContext, TraceRow, steps_bound_positive_costs
+from .bounds import BoundsContext, TraceRow, _kernel_facts, _positive_cost_steps
 from .core import SspProblem, Transitions, _stored
-from .dp import csv_cell, evaluate_policy, policy_iteration
+from .dp import csv_cell, evaluate_policy
 from .properness import uniform_random_policy
 
 # Comparison tolerances for the reproduction checks.
@@ -251,18 +251,11 @@ EXPECTED_TABLE2: tuple[Table2Row, ...] = tuple(
 )
 
 
-def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
-    """Reproduce Table 1: per-iteration error-bound statistics in reward form.
-
-    Both algorithms start from the uniform random policy's value function.
-    Value iteration reports iterations 0 through 12 of a run to residual
-    1e-9, policy iteration every iteration until convergence. Each row's residual belongs to the
-    previous iterate, i.e. to the backup that produced the row.
-    """
+def _table_rows(problem: SspProblem, algorithm: str, row) -> list:
+    """The rows ``row`` makes along a run from the uniform random policy's checked values."""
     initial = uniform_random_policy(problem)
     start_values = evaluate_policy(problem, initial)
     start = dp.require_uniformly_improvable(problem, start_values)
-    row = functools.partial(BoundsContext.for_problem(problem, "positive-cost").row, sign=-1.0)
     if algorithm == "vi":
         try:
             _, trace = dp._value_iteration(problem, start_values, start, 1e-9, 12, row)
@@ -275,26 +268,34 @@ def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
     raise ValueError(f"algorithm must be 'vi' or 'pi', got {algorithm!r}")
 
 
+def run_table1(problem: SspProblem, algorithm: str) -> list[TraceRow]:
+    """Reproduce Table 1: per-iteration error-bound statistics in reward form.
+
+    Both algorithms start from the uniform random policy's value function.
+    Value iteration reports iterations 0 through 12 of a run to residual
+    1e-9, policy iteration every iteration until convergence. Each row's residual belongs to the
+    previous iterate, i.e. to the backup that produced the row.
+    """
+    row = functools.partial(BoundsContext.for_problem(problem, "positive-cost").row, sign=-1.0)
+    return _table_rows(problem, algorithm, row)
+
+
 def run_table2(problem: SspProblem) -> list[Table2Row]:
     """Reproduce Table 2: per-state values and steps bounds along policy iteration.
 
-    Steps bounds are reported raw from the closed-form procedure; the
-    exit-state override (which would set N to 1 there) applies only to
-    Table 1's m column.
+    Rows are made in policy iteration's loop, as Table 1's are. Steps bounds
+    are reported raw from the closed form; the exit-state override (which
+    would set N to 1 there) applies only to Table 1's m column.
     """
-    _, _, trace = policy_iteration(problem, uniform_random_policy(problem))
+    a, b = _kernel_facts(problem).positive_cost()
     nt = problem.nonterminal
-    rows = []
-    for record in trace.records:
-        steps = steps_bound_positive_costs(problem, record.values)
-        rows.append(
-            Table2Row(
-                record.iteration,
-                tuple(float(-record.values[i]) for i in nt),
-                tuple(float(steps[i]) for i in nt),
-            )
-        )
-    return rows
+
+    def row(iteration: int, values: np.ndarray, _, backup: dp.Backup) -> Table2Row:
+        backup.require_improvable()
+        steps = _positive_cost_steps(problem, values, a, b)
+        return Table2Row(iteration, tuple((-values[nt]).tolist()), tuple(steps[nt].tolist()))
+
+    return _table_rows(problem, "pi", row)
 
 
 def _close(got: float | None, want: float | None, tol: float) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from array import array
@@ -20,6 +21,7 @@ from sspbounds import (
     evaluate_policy,
     policy_transition_matrix,
 )
+import sspbounds.dp
 from sspbounds.bounds import DEFAULT_HORIZON_CAP
 from sspbounds.core import Policy, Transitions
 from sspbounds.errors import HorizonCapExceeded, ImproperPolicy
@@ -42,6 +44,55 @@ def dense(problem: SspProblem) -> DenseKernel:
     prob[states, actions, view.to] = view.prob
     cost[states, actions, view.to] = view.cost
     return DenseKernel(prob, cost)
+
+
+@contextlib.contextmanager
+def row_values():
+    """The J of each trace row the public solvers make inside the block, in row order.
+
+    ``value_iteration`` and ``policy_iteration`` hand the solver loop the row
+    function ``dp._record``, whose rows keep no J; this wraps it to keep each
+    row's J as well. Successive runs in one block append to the same list.
+    """
+    kept = []
+    record = sspbounds.dp._record
+
+    def keeping(iteration, values, before, backup):
+        kept.append(values)
+        return record(iteration, values, before, backup)
+
+    sspbounds.dp._record = keeping
+    try:
+        yield kept
+    finally:
+        sspbounds.dp._record = record
+
+
+def backups_outside_evaluations(monkeypatch, *modules) -> list:
+    """The arguments of each ``dp.action_values`` call from now on that no policy evaluation makes.
+
+    ``modules`` hold further ``evaluate_policy`` bindings the code under
+    test calls, besides ``sspbounds.dp``'s own.
+    """
+    backups, evaluating = [], []
+    action_values, evaluate = sspbounds.dp.action_values, sspbounds.dp.evaluate_policy
+
+    def counted(*args):
+        if not evaluating:
+            backups.append(args)
+        return action_values(*args)
+
+    def evaluate_counted_apart(*args):
+        evaluating.append(args)
+        try:
+            return evaluate(*args)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(sspbounds.dp, "action_values", counted)
+    for module in (sspbounds.dp, *modules):
+        monkeypatch.setattr(module, "evaluate_policy", evaluate_counted_apart)
+    return backups
 
 
 def problem_to_json_dict(problem: SspProblem, convention: str = "cost") -> dict:
@@ -181,6 +232,81 @@ def cheap_delay_instance():
     cost[0, 1, 1] = 10.0
     prob[1, :, 1] = 1.0
     return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
+
+
+def crawl_instance(delay_cost=1e-9):
+    """State 0 exits at cost 1 or loops on itself at ``delay_cost``.
+
+    With J = (2, 0) the horizon search's stage value of state 0 rises by
+    ``delay_cost`` a stage, so it passes J - a = 1 only after about
+    1 / ``delay_cost`` stages: past the default cap at 1e-9.
+    """
+    prob = np.zeros((2, 2, 2))
+    cost = np.zeros_like(prob)
+    prob[0, 0, 1], cost[0, 0, 1] = 1.0, 1.0
+    prob[0, 1, 0], cost[0, 1, 0] = 1.0, delay_cost
+    prob[1, :, 1] = 1.0
+    return SspProblem(num_states=2, num_actions=2, terminal=1, prob=prob, cost=cost)
+
+
+def random_crawl_ssp(rng, delay_cost, max_states=5):
+    """Every state exits at cost 1, or moves among the others at random costs up to ``delay_cost``.
+
+    The moves' probabilities are random, so the horizon search's stage
+    values rise by different, rounded amounts per stage, about
+    ``delay_cost`` at most.
+    """
+    m = int(rng.integers(1, max_states))
+    prob = np.zeros((m + 1, 2, m + 1))
+    cost = np.zeros_like(prob)
+    prob[:m, 0, m], cost[:m, 0, m] = 1.0, 1.0
+    prob[:m, 1, :m] = rng.dirichlet(np.ones(m), size=m)
+    cost[:m, 1, :m] = delay_cost * rng.uniform(0.5, 1.0, size=(m, m))
+    prob[m, :, m] = 1.0
+    return SspProblem(num_states=m + 1, num_actions=2, terminal=m, prob=prob, cost=cost)
+
+
+# costs: U(-1, 1), U(0, 1e8) or one of the fixed values
+FUZZ_COSTS = ("uniform", "large", 0.0, 1e300, -1e300, 1e-300, 5e-324)
+
+
+def fuzz_cost(rng) -> float:
+    """A cost of the CLI fuzz, drawn from ``FUZZ_COSTS``."""
+    pick = FUZZ_COSTS[rng.integers(len(FUZZ_COSTS))]
+    if pick == "uniform":
+        return float(rng.uniform(-1.0, 1.0))
+    if pick == "large":
+        return float(rng.uniform(0.0, 1e8))
+    return pick
+
+
+def fuzz_instance(rng) -> dict:
+    """An instance file's JSON object for the CLI fuzz: at most 5 states, weights down to 1e-300.
+
+    Every nonterminal row has random targets, weights and ``fuzz_cost``
+    costs, in a random convention, so the file may fail validation.
+    """
+    num_states, num_actions = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    terminal = int(rng.integers(num_states))
+    records = []
+    for i in range(num_states):
+        for u in range(num_actions):
+            if i == terminal:
+                records.append({"from": i, "action": u, "to": i, "prob": 1.0, "cost": 0.0})
+                continue
+            targets = np.sort(rng.choice(num_states, int(rng.integers(1, num_states + 1)), False))
+            weights = rng.dirichlet(np.ones(targets.size))
+            if targets.size > 1 and rng.random() < 0.5:
+                weights[0] = 10.0 ** -float(rng.integers(1, 301))
+                weights[1:] *= (1.0 - weights[0]) / weights[1:].sum()
+            for j, p in zip(targets.tolist(), weights.tolist()):
+                cost = fuzz_cost(rng)
+                records.append({"from": i, "action": u, "to": j, "prob": p, "cost": cost})
+    convention = ["cost", "reward"][int(rng.integers(2))]
+    return {
+        "num_states": num_states, "num_actions": num_actions, "terminal": terminal,
+        "convention": convention, "transitions": records,
+    }
 
 
 def no_exit_instance():

@@ -9,6 +9,7 @@ from helpers import (
     dense,
     brute_force_optimal,
     cheap_delay_instance,
+    crawl_instance,
     delay_or_exit_instance,
     free_delay_instance,
     kernel_oracle_cases,
@@ -19,6 +20,7 @@ from helpers import (
     proper_policy_values,
     random_all_proper_ssp,
     random_discounted,
+    random_crawl_ssp,
     random_proper_mixed_ssp,
     random_values,
     reference_action_values,
@@ -27,6 +29,7 @@ from helpers import (
     reference_is_proper,
     reference_join_stages,
     reference_kernel_facts,
+    row_values,
     stagewise_horizon,
     stay_or_go_instance,
 )
@@ -56,6 +59,7 @@ from sspbounds import (
 )
 import sspbounds.bounds
 from sspbounds.bounds import _kernel_facts, _search_horizon
+from sspbounds.core import Transitions
 from sspbounds.properness import join_stages
 from sspbounds.errors import (
     HorizonCapExceeded,
@@ -271,6 +275,23 @@ class TestStepsBoundAllProper:
             steps_bound_all_proper(grid)
         assert 9 in info.value.witness_states
 
+    def test_companion_shares_the_instance_columns(self, monkeypatch):
+        problem = random_all_proper_ssp(np.random.default_rng(3))
+        companions = []
+        solve = sspbounds.bounds.policy_iteration
+
+        def caught(companion, *args):
+            companions.append(companion)
+            return solve(companion, *args)
+
+        monkeypatch.setattr(sspbounds.bounds, "policy_iteration", caught)
+        steps_bound_all_proper(problem)
+        [companion] = companions
+        view, kernel = problem.transitions, companion.transitions
+        for name in ("row", "to", "prob"):
+            assert np.shares_memory(getattr(kernel, name), getattr(view, name)), name
+        assert np.array_equal(kernel.cost, np.where(view.to != problem.terminal, -1.0, 0.0))
+
     def test_dominates_sampled_steps_under_any_policy(self):
         rng = np.random.default_rng(53)
         problem = random_all_proper_ssp(rng, max_states=5)
@@ -445,6 +466,45 @@ def stagewise_cases():
     return cases
 
 
+def crawl_cases():
+    """(name, problem, values) triples whose stage values rise slowly, some past any cap.
+
+    Delay costs of 1e-2 and 1e-3 stop near the caps of 100 and 1000, where
+    the give-up must not fire early; 1e-9 only stops past the default cap.
+    In "converge" the stop test never passes, but state 1's stage value
+    converges while state 0's stays put, so the search gives up at the
+    stage that raises no value, near stage 55, not at the cap. In
+    "overfull", an instance no file would pass, the loop's probability sums
+    to 1.01, so its stage value grows geometrically and stops near stage
+    250, where a linear rise would take 1000 stages.
+    """
+    prob, cost = np.zeros((3, 2, 3)), np.zeros((3, 2, 3))
+    prob[0, 0, 2], cost[0, 0, 2] = 1.0, -1000.0
+    prob[0, 1, 0] = 1.0
+    prob[1, 0, 2], cost[1, 0, 2] = 1.0, 1.0
+    prob[1, 1, :2], cost[1, 1, 1] = 0.5, 1.0
+    prob[2, :, 2] = 1.0
+    converge = SspProblem(num_states=3, num_actions=2, terminal=2, prob=prob, cost=cost)
+    overfull = crawl_instance(0.9e-3)
+    view = overfull.transitions
+    prob = np.where(view.row == 1, 1.01, 1.0)
+    view = Transitions.from_entries(2, view.row, view.to, prob, view.cost)
+    cases = [
+        ("crawl", crawl_instance(), np.array([2.0, 0.0])),
+        ("converge", converge, np.array([10.0, 10.0, 0.0])),
+        ("overfull", SspProblem(2, 2, 1, transitions=view), np.array([2.0, 0.0])),
+    ]
+    rng = np.random.default_rng(149)
+    for delay_cost in (1e-9, 1e-3, 1e-2, 0.1):
+        cases.append((f"crawl-{delay_cost:g}", crawl_instance(delay_cost), np.array([2.0, 0.0])))
+        for k in range(5):
+            problem = random_crawl_ssp(rng, delay_cost)
+            values = rng.uniform(1.5, 2.5, size=problem.num_states)
+            values[problem.terminal] = 0.0
+            cases.append((f"random-crawl-{delay_cost:g}-{k}", problem, values))
+    return cases
+
+
 class TestHorizonStages:
     """Usable entries rebuilt only when states join give the bits of a full backup per stage."""
 
@@ -462,20 +522,30 @@ class TestHorizonStages:
         assert outcomes.count("cap") >= 1
         assert sum(m != "cap" and m > 5 for m in outcomes) >= 10
 
-    @pytest.mark.parametrize("max_stages", [0, 1, 2, 5])
+    @pytest.mark.parametrize("max_stages", [0, 1, 2, 5, 20, 100, 1000])
     def test_same_cap_stage(self, cases, monkeypatch, max_stages):
         monkeypatch.setattr(sspbounds.bounds, "DEFAULT_HORIZON_CAP", max_stages)
+        gave_up = []
+        runs = sspbounds.bounds._runs_to_the_cap
+
+        def watched(*args):
+            gave_up.append(runs(*args))
+            return gave_up[-1]
+
+        monkeypatch.setattr(sspbounds.bounds, "_runs_to_the_cap", watched)
 
         def capped_stagewise(problem, values, min_terminal_cost):
             return stagewise_horizon(problem, values, min_terminal_cost, max_stages)
 
         capped = 0
-        for name, problem, values in cases:
+        for name, problem, values in cases + crawl_cases():
             expected = horizon_outcome(capped_stagewise, problem, values)
             got = horizon_outcome(_search_horizon, problem, values)
             assert got == expected, name
             capped += expected == ("cap", max_stages)
         assert capped >= 3
+        # the search gave up before the cap, where the stagewise one crawled to it
+        assert any(gave_up) or max_stages < 2
 
 
 class TestKernelFactsOracle:
@@ -690,13 +760,15 @@ class TestMonotoneTightening:
     def test_gridworld_steps_bound_shrinks_along_value_iteration(
         self, grid, grid_uniform_values
     ):
-        _, trace = value_iteration(grid, grid_uniform_values, epsilon=1e-9)
+        with row_values() as iterates:
+            _, trace = value_iteration(grid, grid_uniform_values, epsilon=1e-9)
+        assert len(iterates) == len(trace)
         mask = np.ones(grid.num_states, dtype=bool)
         mask[grid.terminal] = False
         mask &= ~immediate_termination_states(grid)
         previous = math.inf
-        for record in trace.records:
-            current = steps_bound_positive_costs(grid, record.values)[mask].max()
+        for values in iterates:
+            current = steps_bound_positive_costs(grid, values)[mask].max()
             assert current <= previous + 1e-12
             previous = current
 

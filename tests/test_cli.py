@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    backups_outside_evaluations,
     cheap_delay_instance,
+    crawl_instance,
     dense,
+    fuzz_cost,
+    fuzz_instance,
     open_grid,
     random_all_proper_ssp,
     random_discounted,
     random_proper_mixed_ssp,
+    row_values,
     stay_or_go_instance,
     wide_random_ssp,
 )
@@ -44,6 +49,7 @@ from sspbounds.errors import (
     MaxItersExceeded,
     ProblemFormatError,
     SingularSystem,
+    SspError,
 )
 import sspbounds.bounds
 import sspbounds.cli
@@ -320,24 +326,7 @@ class TestOneBackupPerIterate:
         if start == "file":
             uniform = evaluate_policy(grid, uniform_random_policy(grid))
             argv += ["--init", values_file(tmp_path, "uniform.json", (-uniform).tolist())]
-        backups, evaluating = [], []
-        action_values, evaluate = sspbounds.dp.action_values, sspbounds.dp.evaluate_policy
-
-        def counted(*args):
-            if not evaluating:
-                backups.append(args)
-            return action_values(*args)
-
-        def evaluate_counted_apart(*args):
-            evaluating.append(args)
-            try:
-                return evaluate(*args)
-            finally:
-                evaluating.pop()
-
-        monkeypatch.setattr(sspbounds.dp, "action_values", counted)
-        for module in (sspbounds.dp, sspbounds.cli):
-            monkeypatch.setattr(module, "evaluate_policy", evaluate_counted_apart)
+        backups = backups_outside_evaluations(monkeypatch, sspbounds.cli)
         assert main(argv) == 0
         trace = json.loads(capsys.readouterr().out)["trace"]
         # the start check backs up row 0, except that policy iteration from a
@@ -449,26 +438,28 @@ def free_delay_file(tmp_path):
     return str(path)
 
 
-def old_trace_columns(problem, trace, method):
+def old_trace_columns(problem, trace, iterates, method):
     """The m and error columns by their definition, recomputed row by row.
 
-    Each row runs the method's steps-bound procedure on its own J and takes
-    the max over nonterminal, non-overridden states; the columns are blank
-    where the row's J is not uniformly improvable.
+    Each row runs the method's steps-bound procedure on its own J, from
+    ``iterates`` (see ``helpers.row_values``), and takes the max over
+    nonterminal, non-overridden states; the columns are blank where the
+    row's J is not uniformly improvable.
     """
+    assert len(iterates) == len(trace)
     mask = ~immediate_termination_states(problem)
     mask[problem.terminal] = False
     m_col, error_col = [], []
-    for record in trace.records:
+    for record, values in zip(trace.records, iterates):
         m = None
-        if is_uniformly_improvable(problem, record.values):
+        if is_uniformly_improvable(problem, values):
             if method == "positive-cost":
-                steps = steps_bound_positive_costs(problem, record.values)
+                steps = steps_bound_positive_costs(problem, values)
             elif method == "all-proper":
                 steps = steps_bound_all_proper(problem)
             else:
                 try:
-                    certificate = termination_horizon(problem, record.values)
+                    certificate = termination_horizon(problem, values)
                     steps = steps_bound_from_horizon(problem, certificate)
                 except HorizonCapExceeded:
                     steps = None
@@ -488,21 +479,22 @@ def solve_json(path, argv, tmp_path):
 class TestTraceBounds:
     """Per-row m and error from the shared bounds context match their definition."""
 
-    def check(self, problem, trace, payload, method):
+    def check(self, problem, trace, iterates, payload, method):
         assert payload["config"]["bounds_method"] == method
-        m_col, error_col = old_trace_columns(problem, trace, method)
+        m_col, error_col = old_trace_columns(problem, trace, iterates, method)
         assert [row["m"] for row in payload["trace"]] == m_col
         assert [row["error"] for row in payload["trace"]] == error_col
 
     @pytest.mark.parametrize("algorithm", ["vi", "pi"])
     def test_gridworld_positive_cost(self, grid, grid_reward_file, tmp_path, algorithm):
         payload = solve_json(grid_reward_file, ["--algorithm", algorithm], tmp_path)
-        if algorithm == "vi":
-            start = evaluate_policy(grid, uniform_random_policy(grid))
-            _, trace = value_iteration(grid, start, epsilon=1e-6)
-        else:
-            _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
-        self.check(grid, trace, payload, "positive-cost")
+        with row_values() as iterates:
+            if algorithm == "vi":
+                start = evaluate_policy(grid, uniform_random_policy(grid))
+                _, trace = value_iteration(grid, start, epsilon=1e-6)
+            else:
+                _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
+        self.check(grid, trace, iterates, payload, "positive-cost")
 
     def test_random_instances(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -512,9 +504,12 @@ class TestTraceBounds:
             path = tmp_path / f"random{k}.json"
             save_problem(problem, path)
             start = evaluate_policy(problem, uniform_random_policy(problem))
-            _, trace = value_iteration(problem, start, epsilon=1e-6)
+            with row_values() as iterates:
+                _, trace = value_iteration(problem, start, epsilon=1e-6)
             payload = solve_json(path, ["--algorithm", "vi"], tmp_path)
-            self.check(problem, trace, payload, "all-proper" if k % 2 else "positive-cost")
+            self.check(
+                problem, trace, iterates, payload, "all-proper" if k % 2 else "positive-cost"
+            )
 
     def test_zero_start_general(self, tmp_path):
         # stay-or-go with a reward for leaving, so the zero start is improvable
@@ -526,8 +521,9 @@ class TestTraceBounds:
         payload = solve_json(
             path, ["--algorithm", "vi", "--init", "zero", "--bounds", "general"], tmp_path
         )
-        _, trace = value_iteration(problem, np.zeros(2), epsilon=1e-6)
-        self.check(problem, trace, payload, "general")
+        with row_values() as iterates:
+            _, trace = value_iteration(problem, np.zeros(2), epsilon=1e-6)
+        self.check(problem, trace, iterates, payload, "general")
         assert [row["m"] for row in payload["trace"]] == [3.0, 2.0]
 
     def test_one_companion_solve_per_run(self, tmp_path, monkeypatch):
@@ -773,6 +769,23 @@ class TestCheck:
         assert "within 1 stages" in error["message"]
         assert elapsed < 1.0
 
+    def test_slow_rise_gives_up_at_once(self, tmp_path, capsys):
+        # state 0's stage value rises by 1e-9 a stage, so J - a = 1 lies past the cap
+        path = tmp_path / "crawl.json"
+        save_problem(crawl_instance(), path, convention="cost")
+        init = values_file(tmp_path, "j.json", [2.0, 0.0])
+        start = time.perf_counter()
+        code = main(["check", "--input", str(path), "--values", init])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.err) == {
+            "error": "HorizonCapExceeded",
+            "message": "termination horizon not found within 1000000 stages; "
+            "instance likely admits a nonpositive-cost nonterminal cycle",
+        }
+        assert elapsed < 1.0
+
     def test_memory_scales_with_the_records(self, tmp_path, capsys):
         # 2000 states, 2 actions, 3 targets per row: about 12k records
         rng = np.random.default_rng(12)
@@ -839,3 +852,59 @@ class TestConvert:
         assert payload["convention"] == "reward"
         go = [r for r in payload["transitions"] if r["from"] == 0 and r["action"] == 0]
         assert go[0]["cost"] == -2.0
+
+
+class TestFuzz:
+    """Seeded random small instances through the CLI: documented exit codes only."""
+
+    def test_exit_codes_and_stderr(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+
+        def pick(*options):
+            return options[int(rng.integers(len(options)))]
+
+        codes = []
+        start = time.perf_counter()
+        for k in range(75):
+            data = fuzz_instance(rng)
+            path = tmp_path / f"fuzz{k}.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            num_states = data["num_states"]
+            values = [fuzz_cost(rng) * float(rng.integers(1, 10)) for _ in range(num_states)]
+            try:
+                # the uniform policy's values are often uniformly improvable
+                problem, convention = load_problem(path)
+                uniform = evaluate_policy(problem, uniform_random_policy(problem))
+                if rng.random() < 0.5 and np.isfinite(uniform).all():
+                    values = (uniform if convention == "cost" else -uniform).tolist()
+            except SspError:
+                pass  # an invalid instance or an improper uniform policy
+            values[data["terminal"]] = 0.0
+            init = values_file(tmp_path, f"values{k}.json", values)
+            solve = [
+                "solve", "--input", str(path), "--algorithm", pick("vi", "pi"),
+                "--bounds", pick("auto", "positive-cost", "all-proper", "general"),
+                "--format", pick("csv", "json"), "--max-iters", pick("5", "50"),
+            ]
+            calls = [
+                solve + ["--init", pick("uniform-random", "zero")],
+                ["check", "--input", str(path)],
+                ["check", "--input", str(path), "--values", init],
+                solve + ["--init", init],
+            ]
+            for argv in calls:
+                called = time.perf_counter()
+                code = main(argv)
+                elapsed = time.perf_counter() - called
+                captured = capsys.readouterr()
+                assert elapsed < 2.0, argv
+                assert code in (0, 2, 3, 4), argv
+                if code == 0:
+                    assert captured.err == "", argv
+                else:
+                    [line] = captured.err.splitlines()
+                    assert sorted(json.loads(line)) == ["error", "message"], argv
+                codes.append(code)
+        assert {0, 3} <= set(codes)
+        # a search that cannot stop within its cap gives up at once, where it crawled for seconds
+        assert time.perf_counter() - start < 10.0

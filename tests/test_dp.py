@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     random_proper_mixed_ssp,
     random_values,
     reference_is_proper,
+    row_values,
     walled_grid,
     wide_random_ssp,
     with_costs_scaled,
@@ -169,8 +171,9 @@ class TestBellmanResidual:
 
     def test_gridworld_second_policy_iterate_residual(self, grid):
         # published row 2 carries the residual of row 1's value function
-        _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
-        stats = bellman_residual(grid, trace.records[1].values)
+        with row_values() as iterates:
+            _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
+        stats = bellman_residual(grid, iterates[1])
         assert stats.residual == pytest.approx(1.0070, abs=1e-3)
         assert trace.records[2].residual == stats.residual
 
@@ -186,11 +189,27 @@ class TestBellmanResidual:
 
 class TestValueIteration:
     def test_stay_go_converges_monotonically(self, stay_go):
-        values, trace = value_iteration(stay_go, np.zeros(2), epsilon=1e-9)
+        with row_values() as kept:
+            values, trace = value_iteration(stay_go, np.zeros(2), epsilon=1e-9)
         assert values[0] == 2.0
-        iterates = [r.values[0] for r in trace.records]
+        assert len(kept) == len(trace)
+        iterates = [v[0] for v in kept]
         assert iterates == [0.0, 1.0, 2.0]
         assert [r.residual for r in trace.records] == [None, 1.0, 1.0]
+
+    def test_keeps_no_row_values(self):
+        # 222 rows of 10,001 values each held 17 MiB when every row kept its J
+        problem = open_grid(100)
+        start = evaluate_policy(problem, uniform_random_policy(problem))
+        tracemalloc.start()
+        try:
+            values, trace = value_iteration(problem, start, epsilon=1e-6)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert problem.num_states == 10_001
+        assert len(trace) > 200
+        assert held <= 2**20
 
     def test_loose_epsilon_returns_input_unchanged(self, stay_go):
         start = np.zeros(2)
@@ -400,25 +419,26 @@ class TestSolvePaths:
         cases = [c for c in kernel_oracle_cases() if c[0] not in ("no-exit", "free-delay")]
         for name, problem in cases:
             policy = uniform_random_policy(problem)
-            results = {}
+            results, iterates = {}, {}
             for path in SOLVE_PATHS:
                 force_path(monkeypatch, path)
                 splu_calls.clear()
-                results[path] = policy_iteration(problem, policy)
+                with row_values() as iterates[path]:
+                    results[path] = policy_iteration(problem, policy)
                 # one factorization per evaluation: every trace row's, or all
                 # but the last when that row repeats the previous policy
                 rows = len(results[path][2])
                 expected = (rows - 1, rows) if path == "sparse" else (0,)
                 assert len(splu_calls) in expected, name
             d_policy, _, d_trace = results.pop("dense")
-            for s_policy, _, s_trace in results.values():
+            d_iterates = iterates.pop("dense")
+            for (s_policy, _, s_trace), s_iterates in zip(results.values(), iterates.values()):
                 assert np.array_equal(d_policy.actions, s_policy.actions), name
                 assert len(d_trace) == len(s_trace), name
-                for d_record, s_record in zip(d_trace.records, s_trace.records):
-                    scale = np.abs(d_record.values).max()
-                    assert np.allclose(
-                        s_record.values, d_record.values, rtol=1e-12, atol=1e-12 * scale
-                    ), name
+                assert len(d_iterates) == len(s_iterates) == len(d_trace), name
+                for d_values, s_values in zip(d_iterates, s_iterates):
+                    scale = np.abs(d_values).max()
+                    assert np.allclose(s_values, d_values, rtol=1e-12, atol=1e-12 * scale), name
 
     def test_tables_on_the_sparse_path(self, grid, monkeypatch, splu_calls):
         force_path(monkeypatch, "sparse")
@@ -688,15 +708,18 @@ class TestSolvePathSweep:
 
 class TestPolicyIteration:
     def test_gridworld_converges_in_four_improvements(self, grid):
-        policy, values, trace = policy_iteration(grid, uniform_random_policy(grid))
+        with row_values() as iterates:
+            policy, values, trace = policy_iteration(grid, uniform_random_policy(grid))
         assert len(trace) == 5
-        assert np.array_equal(trace.records[3].values, trace.records[4].values)
+        assert np.array_equal(iterates[3], iterates[4])
         assert trace.records[4].residual == pytest.approx(0.0, abs=1e-10)
 
     def test_iterates_never_get_worse(self, grid):
-        _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
-        for earlier, later in zip(trace.records, trace.records[1:]):
-            assert (later.values <= earlier.values + 1e-10).all()
+        with row_values() as iterates:
+            _, _, trace = policy_iteration(grid, uniform_random_policy(grid))
+        assert len(iterates) == len(trace)
+        for earlier, later in zip(iterates, iterates[1:]):
+            assert (later <= earlier + 1e-10).all()
 
     def test_start_from_optimal_policy_stops_immediately(self, grid, grid_optimal_policy):
         policy, values, trace = policy_iteration(grid, grid_optimal_policy)
@@ -709,10 +732,10 @@ class TestPolicyIteration:
 
     def test_max_iters_counts_improvements(self, grid):
         # the gridworld's fourth improvement repeats the third policy
-        with pytest.raises(MaxItersExceeded) as info:
+        with row_values() as iterates, pytest.raises(MaxItersExceeded) as info:
             policy_iteration(grid, uniform_random_policy(grid), max_iters=3)
-        assert len(info.value.trace) == 4
-        assert info.value.values is info.value.trace.records[-1].values
+        assert len(info.value.trace) == 4 == len(iterates)
+        assert info.value.values is iterates[-1]
         _, _, trace = policy_iteration(grid, uniform_random_policy(grid), max_iters=4)
         assert len(trace) == 5
 
@@ -749,28 +772,33 @@ class TestUniformImprovability:
     def test_trace_verdicts_match_the_test_on_the_previous_row(
         self, grid, grid_uniform_values, stay_go
     ):
-        runs = [
-            (grid, value_iteration(grid, grid_uniform_values, epsilon=1e-9)[1]),
-            (grid, policy_iteration(grid, uniform_random_policy(grid))[2]),
-            (stay_go, value_iteration(stay_go, np.zeros(2), epsilon=1e-9)[1]),
-        ]
+        runs = []
+
+        def run(solver, problem, *args, **kwargs):
+            # the trace is the last item a solver returns
+            with row_values() as iterates:
+                try:
+                    trace = solver(problem, *args, **kwargs)[-1]
+                except MaxItersExceeded as exc:
+                    # only the runs from random values are capped
+                    assert kwargs.get("max_iters") == 200
+                    trace = exc.trace
+            runs.append((problem, trace, iterates))
+
+        run(value_iteration, grid, grid_uniform_values, epsilon=1e-9)
+        run(policy_iteration, grid, uniform_random_policy(grid))
+        run(value_iteration, stay_go, np.zeros(2), epsilon=1e-9)
         rng = np.random.default_rng(67)
         for _ in range(20):
             problem = random_proper_mixed_ssp(rng)
-            try:
-                _, trace = value_iteration(
-                    problem, random_values(rng, problem), epsilon=1e-6, max_iters=200
-                )
-            except MaxItersExceeded as exc:
-                trace = exc.trace
-            runs.append((problem, trace))
-            _, _, trace = policy_iteration(problem, uniform_random_policy(problem))
-            runs.append((problem, trace))
+            run(value_iteration, problem, random_values(rng, problem), epsilon=1e-6, max_iters=200)
+            run(policy_iteration, problem, uniform_random_policy(problem))
         verdicts = set()
-        for problem, trace in runs:
+        for problem, trace, iterates in runs:
+            assert len(iterates) == len(trace)
             assert trace.records[0].improvable is None
-            for earlier, later in zip(trace.records, trace.records[1:]):
-                expected = is_uniformly_improvable(problem, earlier.values)
+            for earlier, later in zip(iterates, trace.records[1:]):
+                expected = is_uniformly_improvable(problem, earlier)
                 assert later.improvable is expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
@@ -778,9 +806,11 @@ class TestUniformImprovability:
     def test_value_iteration_decreases_from_improvable_start(
         self, grid, grid_uniform_values
     ):
-        _, trace = value_iteration(grid, grid_uniform_values, epsilon=1e-9)
-        for earlier, later in zip(trace.records, trace.records[1:]):
-            assert (later.values <= earlier.values + 1e-12).all()
+        with row_values() as iterates:
+            _, trace = value_iteration(grid, grid_uniform_values, epsilon=1e-9)
+        assert len(iterates) == len(trace)
+        for earlier, later in zip(iterates, iterates[1:]):
+            assert (later <= earlier + 1e-12).all()
 
 
 class TestOracleEquivalence:

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse.linalg  # noqa: F401  loaded before any memory is traced
 
 from helpers import (
+    backups_outside_evaluations,
     dense,
     open_grid_spec,
     problem_to_json_dict,
@@ -38,6 +39,7 @@ from sspbounds.gridworld import (
     table2_csv,
 )
 from sspbounds.dp import trace_csv
+import sspbounds.gridworld
 
 GOLDEN = Path(__file__).parent / "data" / "gridworld.json"
 
@@ -259,6 +261,13 @@ class TestTable2:
         rows = run_table2(grid)
         assert rows[3].values == rows[4].values
         assert rows[3].steps == rows[4].steps
+
+    def test_rows_made_in_the_solver_loop(self, grid, monkeypatch):
+        # the start's checked backup and the loop's three; the fourth
+        # improvement repeats the third policy and shares its backup
+        backups = backups_outside_evaluations(monkeypatch, sspbounds.gridworld)
+        assert compare_table2(run_table2(grid)) == []
+        assert len(backups) == 4
 
     def test_csv_layout(self, grid):
         rows = run_table2(grid)
