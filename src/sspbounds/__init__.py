@@ -64,7 +64,6 @@ from .errors import (
     TerminalNotAbsorbing,
     ValidationError,
 )
-from .gridworld import GridSpec, build_gridworld, run_table1, run_table2
 from .properness import (
     AllPoliciesProperReport,
     ProperCheckReport,
@@ -73,10 +72,26 @@ from .properness import (
     uniform_random_policy,
 )
 
+# loaded on first use by __getattr__, so that only the commands that need it import it
+_GRIDWORLD = ("GridSpec", "build_gridworld", "run_table1", "run_table2")
+
 # the submodules are bound here by the imports above but are not exported
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + list(_GRIDWORLD)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _GRIDWORLD:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import gridworld
+
+    value = globals()[name] = getattr(gridworld, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_GRIDWORLD})

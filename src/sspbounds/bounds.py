@@ -27,10 +27,8 @@ TJ - J (it is 0 at the terminal), the report's fields give the envelope
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +53,6 @@ from .properness import (
     uniform_random_policy,
 )
 
-logger = logging.getLogger(__name__)
-
 # Safety cap for the horizon search. Hitting it means some policy can delay
 # termination forever at nonpositive cost, i.e. the instance admits an
 # improper policy whose cost never diverges.
@@ -72,8 +68,7 @@ def json_number(x: float | None) -> float | str | None:
     return "inf" if x is not None and math.isinf(x) else x
 
 
-@dataclass(frozen=True)
-class HorizonCertificate:
+class HorizonCertificate(NamedTuple):
     """Output of the termination-horizon search, in O(S) space.
 
     ``joined_at[i]`` is the stage at which state i joined the inevitable
@@ -92,12 +87,6 @@ class HorizonCertificate:
     values: np.ndarray
     min_terminal_cost: float
 
-    def __post_init__(self):
-        for name in ("joined_at", "values"):
-            array = np.array(getattr(self, name))
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
@@ -107,8 +96,7 @@ class HorizonCertificate:
         }
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Everything needed to certify a value function's suboptimality.
 
     ``steps_bound`` has the override rule already applied: states that can
@@ -277,6 +265,13 @@ def _positive_cost_steps(
         steps[nt] = (values[nt] - min_terminal_cost) / min_step_cost + 1.0
     low = nt[steps[nt] < 1.0]
     if low.size:
+        import logging  # loaded only when a clamp fires
+
+        logger = logging.getLogger(__name__)
+        if not logger.handlers:
+            # where the application configures no logging, logging's
+            # last-resort handler would print the warning to stderr
+            logger.addHandler(logging.NullHandler())
         logger.warning(
             "clamping steps bound to 1 at states %s (value below cheapest "
             "terminal transition cost %.6g)",
@@ -306,7 +301,9 @@ def steps_bound_all_proper(
     steps_cost = np.where(view.to != problem.terminal, -1.0, 0.0)
     # the companion shares the instance's read-only columns, and adds its costs
     kernel = Transitions._adopt(view.num_states, view.row, view.to, view.prob, steps_cost)
-    companion = replace(problem, transitions=kernel)
+    companion = SspProblem(
+        problem.num_states, problem.num_actions, problem.terminal, transitions=kernel
+    )
     _, worst_values, _ = policy_iteration(companion, uniform_random_policy(companion))
     steps = np.zeros(problem.num_states)
     nt = problem.nonterminal
@@ -336,12 +333,11 @@ def termination_horizon(problem: SspProblem, values: np.ndarray) -> HorizonCerti
     require_uniformly_improvable(problem, values)
     min_terminal_cost, _ = _kernel_facts(problem).terminal_move()
     m, joined_at, stage_values = _search_horizon(problem, values, min_terminal_cost)
-    return HorizonCertificate(
-        m=m,
-        joined_at=joined_at,
-        values=np.where(joined_at >= 0, np.nan, stage_values),
-        min_terminal_cost=min_terminal_cost,
-    )
+    # the search hands back its own joined_at, a copy of what the instance keeps
+    stage_values = np.where(joined_at >= 0, np.nan, stage_values)
+    joined_at.setflags(write=False)
+    stage_values.setflags(write=False)
+    return HorizonCertificate(m, joined_at, stage_values, min_terminal_cost)
 
 
 def _search_horizon(
@@ -533,8 +529,7 @@ def _resolve(
     return ("all-proper" if report.all_proper else "general"), report
 
 
-@dataclass(frozen=True)
-class BoundsContext:
+class BoundsContext(NamedTuple):
     """The steps-bound procedure of one instance and its J-independent ingredients.
 
     Build it once per run with :meth:`for_problem`. ``method`` is the

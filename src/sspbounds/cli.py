@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import gridworld as gw
 from .core import (
     DeterministicPolicy,
     SspProblem,
@@ -162,6 +161,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import gridworld as gw  # only this command loads it
+
     problem = gw.build_gridworld()
     if args.table == "table2":
         rows = gw.run_table2(problem)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -36,8 +35,19 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Transitions:
+class _Immutable:
+    """Base of the instance types: each sets its fields once, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Transitions(_Immutable):
     """The stored transition kernel of an instance: its nonzero transitions.
 
     Entries are sorted by (state, action) row and then by target, the
@@ -48,16 +58,11 @@ class Transitions:
     invalid one also keeps every entry :func:`validate` objects to.
     """
 
-    num_states: int
-    row: np.ndarray
-    to: np.ndarray
-    prob: np.ndarray
-    cost: np.ndarray
-
-    def __post_init__(self):
-        for name in ("row", "to", "prob", "cost"):
+    def __init__(self, num_states: int, row, to, prob, cost):
+        object.__setattr__(self, "num_states", num_states)
+        for name, column in zip(("row", "to", "prob", "cost"), (row, to, prob, cost)):
             dtype = np.int64 if name in ("row", "to") else float
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            object.__setattr__(self, name, _frozen(column, dtype))
 
     @classmethod
     def from_dense(cls, num_states: int, num_actions: int, prob, cost) -> Transitions:
@@ -139,8 +144,7 @@ def _stored(prob: np.ndarray, cost: np.ndarray) -> np.ndarray:
     return (prob != 0.0) | ~np.isfinite(cost)
 
 
-@dataclass(frozen=True, init=False)
-class SspProblem:
+class SspProblem(_Immutable):
     """Shortest path MDP with one absorbing, zero-cost terminal state.
 
     Its kernel is ``transitions`` (see :class:`Transitions`), given to the
@@ -150,11 +154,6 @@ class SspProblem:
     Instances are immutable and safe to share across threads. Construction
     checks shapes only; call :func:`validate` to check the model invariants.
     """
-
-    num_states: int
-    num_actions: int
-    terminal: int
-    transitions: Transitions
 
     def __init__(
         self,
@@ -196,14 +195,11 @@ def _kept(problem: SspProblem, key: str, compute):
     return kept[key]
 
 
-@dataclass(frozen=True)
-class DeterministicPolicy:
+class DeterministicPolicy(_Immutable):
     """One action index per state."""
 
-    actions: np.ndarray
-
-    def __post_init__(self):
-        actions = np.asarray(self.actions)
+    def __init__(self, actions):
+        actions = np.asarray(actions)
         if actions.ndim != 1 or not np.issubdtype(actions.dtype, np.integer):
             raise ValueError("actions must be a 1-d integer array")
         if (actions < 0).any():
@@ -211,14 +207,11 @@ class DeterministicPolicy:
         object.__setattr__(self, "actions", _frozen(actions, dtype=int))
 
 
-@dataclass(frozen=True)
-class StochasticPolicy:
+class StochasticPolicy(_Immutable):
     """A probability distribution over actions for every state."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights):
+        weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2:
             raise ValueError("weights must have shape (num_states, num_actions)")
         if (weights < 0).any():

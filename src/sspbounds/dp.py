@@ -11,7 +11,6 @@ reproducible and ``policy_backup(greedy_policy(J), J)`` equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,8 +107,7 @@ class Backup(NamedTuple):
         return self
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One solver iteration, in scalars: no row keeps its J, the solvers return the last.
 
     ``residual`` and ``improvable`` describe the *previous* iterate, as seen
@@ -129,12 +127,14 @@ def _record(iteration: int, _values, before: Backup | None, _backup) -> Iteratio
     return IterationRecord(iteration, residual, improvable)
 
 
-@dataclass
 class IterationTrace:
     """A solver's rows, as its row function made them, and ``last``, the last row's backup."""
 
-    records: list
-    last: Backup
+    __slots__ = ("records", "last")
+
+    def __init__(self, records: list, last: Backup):
+        self.records = records
+        self.last = last
 
     def __len__(self) -> int:
         return len(self.records)

@@ -9,7 +9,7 @@ checks here use exact ``p > 0`` tests, never an epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ProperCheckReport:
+class ProperCheckReport(NamedTuple):
     """Result of a properness check for one policy.
 
     ``m_stages`` is the smallest horizon with positive termination
@@ -49,8 +48,7 @@ class ProperCheckReport:
         }
 
 
-@dataclass(frozen=True)
-class AllPoliciesProperReport:
+class AllPoliciesProperReport(NamedTuple):
     """Verdict of the all-policies-proper decision, with a witness when false.
 
     ``witness_states`` is the largest set C of nonterminal states in which

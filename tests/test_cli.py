@@ -72,16 +72,21 @@ def stay_go_file(stay_go, tmp_path):
     return str(path)
 
 
+def fresh_python(script: str, argv: list[str] = ()) -> subprocess.CompletedProcess:
+    """``script`` run with ``argv`` in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+
+
 def cli_loads(module: str, argv: list[str]) -> bool:
     """Whether the command ``argv`` in a fresh interpreter imports ``module``; it must exit 0."""
     script = (
         "import sys; from sspbounds.cli import main; "
         f"print(main(sys.argv[1:]), {module!r} in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(sspbounds.core.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
-    )
+    result = fresh_python(script, argv)
     assert result.stdout.split()[:1] == ["0"], result.stderr
     return result.stdout.split()[1] == "True"
 
@@ -140,6 +145,25 @@ class TestSolve:
         path = tmp_path / "wide.json"
         save_problem(wide_random_ssp(np.random.default_rng(2024), 750), path)
         assert solve_loads("scipy", str(path), "pi", tmp_path) is True
+
+    def test_clamp_warning_stays_off_stderr(self, tmp_path, capsys, caplog):
+        # state 0 exits or loops, each at cost 1: a J(0) a hair below the exit
+        # cost is improvable and clamps the steps bound (J - a) / b + 1 to 1
+        records = [
+            {"from": i, "action": u, "to": j, "prob": 1.0, "cost": c}
+            for i, u, j, c in ((0, 0, 1, 1.0), (0, 1, 0, 1.0), (1, 0, 1, 0.0), (1, 1, 1, 0.0))
+        ]
+        path = tmp_path / "clamp.json"
+        instance = {"num_states": 2, "num_actions": 2, "terminal": 1, "convention": "cost"}
+        path.write_text(json.dumps({**instance, "transitions": records}), encoding="utf-8")
+        init = values_file(tmp_path, "values.json", [1.0 - 5e-10, 0.0])
+        argv = ["solve", "--algorithm", "vi", "--input", str(path), "--init", init,
+                "--format", "csv"]
+        assert main(argv) == 0
+        assert any("clamping" in record.message for record in caplog.records)
+        result = fresh_python("import sys; from sspbounds.cli import main; sys.exit(main())", argv)
+        # logging stays silent where the application configures none
+        assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out, "")
 
     def test_zero_init_fails_when_not_improvable(self, stay_go_file, capsys):
         code = main(["solve", "--input", stay_go_file, "--init", "zero"])
@@ -309,6 +333,32 @@ class TestSolve:
         init = ["--values" if argv == ["check"] else "--init", values]
         assert main([*argv, "--input", str(path), *init]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestColdStart:
+    """``import sspbounds.cli`` loads only what a command other than ``bench`` runs."""
+
+    def test_cli_import_adds_no_logging_dataclasses_or_gridworld(self):
+        # measured against numpy's own imports, which vary with its version
+        script = (
+            "import sys, numpy; loaded = set(sys.modules); import sspbounds.cli; "
+            "print(*sorted(set(sys.modules) - loaded))"
+        )
+        result = fresh_python(script)
+        added = set(result.stdout.split())
+        assert "sspbounds.cli" in added, result.stderr
+        assert not added & {"logging", "dataclasses", "sspbounds.gridworld"}
+
+    def test_gridworld_names_still_exported(self):
+        names = {"GridSpec", "build_gridworld", "run_table1", "run_table2"}
+        assert names <= set(sspbounds.__all__)
+        assert names <= set(dir(sspbounds))
+        from sspbounds import build_gridworld
+
+        assert build_gridworld is gw.build_gridworld
+        assert sspbounds.GridSpec is gw.GridSpec
+        with pytest.raises(AttributeError):
+            sspbounds.no_such_name
 
 
 class TestOneBackupPerIterate:

@@ -28,6 +28,7 @@ from sspbounds import (
     policy_cost_vector,
     policy_transition_matrix,
     save_problem,
+    termination_horizon,
     uniform_random_policy,
     validate,
 )
@@ -338,6 +339,44 @@ class TestPolicies:
             policy_transition_matrix(stay_go, mixed), [[0.5, 0.5], [0, 1]]
         )
         assert np.allclose(policy_cost_vector(stay_go, mixed), [1.5, 0.0])
+
+
+class TestImmutable:
+    """Instances, policies and certificates can be shared: nothing rewrites their fields."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self, stay_go):
+        fields = [
+            (stay_go, ("num_states", "num_actions", "terminal", "transitions")),
+            (stay_go.transitions, ("num_states", "row", "to", "prob", "cost")),
+            (DeterministicPolicy(actions=np.array([0, 0])), ("actions",)),
+            (uniform_random_policy(stay_go), ("weights",)),
+        ]
+        for instance, names in fields:
+            for name in (*names, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(instance, name, None)
+            for name in names:
+                with pytest.raises(AttributeError):
+                    delattr(instance, name)
+                assert getattr(instance, name) is not None
+
+    def test_arrays_are_read_only(self, stay_go):
+        view = stay_go.transitions
+        certificate = termination_horizon(stay_go, np.array([2.0, 0.0]))
+        arrays = [
+            view.row,
+            view.to,
+            view.prob,
+            view.cost,
+            DeterministicPolicy(actions=np.array([0, 0])).actions,
+            uniform_random_policy(stay_go).weights,
+            certificate.joined_at,
+            certificate.values,
+        ]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 def more_than_one_block_instance() -> SspProblem:
